@@ -18,7 +18,7 @@ def main(argv=None) -> int:
     parser.add_argument("--m-max", type=int, default=4,
                         help="largest jump bound to profile (default 4)")
     parser.add_argument("-N", "--n-max", type=int, default=12,
-                        help="lengths 1..N fed to the brute-force counter (default 12)")
+                        help="lengths 1..N fed to the transfer-matrix counter (default 12)")
     parser.add_argument("--ceiling", type=int, default=None,
                         help="override the brute-force length ceiling")
     args = parser.parse_args(argv)

@@ -1,8 +1,8 @@
 """132-avoiding permutations under a bounded adjacent-jump constraint.
 
-Exact enumeration by brute force, closed-form structure for jump bound 2,
-rational generating functions with recurrence guessing, growth constants,
-and an empirical probe for larger bounds.
+Exact enumeration by brute force and by transfer matrices, closed-form
+structure for jump bound 2, rational generating functions with recurrence
+guessing, growth constants, and an empirical probe for larger bounds.
 """
 
 from .core import (

@@ -43,10 +43,14 @@ def brute_force_ceiling() -> int:
     raw = os.environ.get(CEILING_ENV_VAR)
     if raw is None:
         return DEFAULT_CEILING
+    error = ValueError(f"{CEILING_ENV_VAR} must be a positive integer, got {raw!r}")
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise ValueError(f"{CEILING_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise error from None
+    if value < 1:
+        raise error
+    return value
 
 
 def _check_args(n: int, m: int, ceiling: int | None) -> None:

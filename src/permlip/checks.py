@@ -9,7 +9,7 @@ exposes.
 from __future__ import annotations
 
 from .core import split_at_max
-from . import asymptotics, bruteforce, genfunc, m2
+from . import asymptotics, bruteforce, genfunc, m2, transfer
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -45,6 +45,17 @@ def suite_max_position(n_max: int, m: int | None = None) -> list[Result]:
                 out.append(_check(
                     f"realized n={n} m={bound}", required <= support,
                     f"positions {sorted(required - support)} never occur"))
+    return out
+
+
+def suite_transfer(n_max: int, m: int | None = None) -> list[Result]:
+    """The transfer-matrix counter agrees with the brute-force oracle."""
+    out = []
+    for bound in [m] if m is not None else [1, 2, 3, 4]:
+        for n in range(1, n_max + 1):
+            engine, oracle = transfer.count(n, bound), bruteforce.count(n, bound)
+            out.append(_check(f"count n={n} m={bound}", engine == oracle,
+                              f"transfer {engine}, oracle {oracle}"))
     return out
 
 
@@ -191,6 +202,7 @@ SUITES = {
     "split": suite_split,
     "gf": suite_gf,
     "asymptotics": suite_asymptotics,
+    "transfer": suite_transfer,
 }
 
 

@@ -3,7 +3,8 @@
 Subcommands: count, seq, verify, asym, probe.  Counts are printed as
 exact decimal strings everywhere, including inside JSON, so arbitrarily
 large values survive any consumer.  Exit codes: 0 success, 1 a
-verification suite failed, 2 usage error, 3 brute-force ceiling exceeded.
+verification suite failed, 2 usage error (including a malformed
+``PERMLIP_CEILING``), 3 brute-force ceiling exceeded.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import argparse
 import json
 import sys
 
-from . import asymptotics, bruteforce, checks, genfunc, m2, probe
+from . import asymptotics, bruteforce, checks, genfunc, m2, probe, transfer
 
 __all__ = ["main", "format_bfile", "parse_bfile"]
 
-ENGINES = ("brute", "closed", "recurrence", "gf")
+ENGINES = ("brute", "transfer", "closed", "recurrence", "gf")
 FORMATS = ("json", "csv", "bfile", "plain")
 
 _GF_BY_BOUND = {
@@ -72,10 +73,9 @@ def _gf_count(n: int, m: int) -> int | None:
 
 def _cmd_count(args) -> int:
     n, m = args.n, args.m
-    if args.engine == "brute":
-        print(bruteforce.count(n, m))
-        return 0
-    value = {"closed": _closed_count,
+    value = {"brute": bruteforce.count,
+             "transfer": transfer.count,
+             "closed": _closed_count,
              "recurrence": _recurrence_count,
              "gf": _gf_count}[args.engine](n, m)
     if value is None:
@@ -91,7 +91,7 @@ def _sequence_terms(m: int, n_max: int) -> list[int]:
         return [1] + [2] * (n_max - 1)
     if m == 2:
         return [m2.class_count(n) for n in range(1, n_max + 1)]
-    return [bruteforce.count(n, m) for n in range(1, n_max + 1)]
+    return [transfer.count(n, m) for n in range(1, n_max + 1)]
 
 
 def _cmd_seq(args) -> int:
@@ -156,8 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_positive("n"), required=True, help="permutation length")
     p.add_argument("-m", type=_positive("m"), required=True, help="adjacent-jump bound")
     p.add_argument("--engine", choices=ENGINES, default="brute",
-                   help="brute search, closed form, linear recurrence, or series "
-                        "extraction (the last three need m in {1, 2} or m >= n - 1)")
+                   help="brute search, transfer-matrix count, closed form, linear "
+                        "recurrence, or series extraction (the last three need m in "
+                        "{1, 2} or m >= n - 1)")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("seq", help="sequence of counts for lengths 1..N")
@@ -193,6 +194,9 @@ def main(argv=None) -> int:
     except bruteforce.CeilingExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

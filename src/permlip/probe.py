@@ -1,10 +1,11 @@
 """Empirical growth profiling across jump bounds.
 
 For jump bounds beyond 2 no exact theory ships here; instead this module
-gathers brute-force counts, tries to guess a constant-coefficient linear
-recurrence from them, and extracts a growth-rate estimate.  Two working
-hypotheses guide what gets measured but are never hard-asserted: each
-bound may admit such a recurrence, and the growth rates may climb
+gathers exact counts from the transfer-matrix counter (``transfer.count``),
+tries to guess a constant-coefficient linear recurrence from them, and
+extracts a growth-rate estimate.  Two working hypotheses guide what gets
+measured but are never hard-asserted: each bound may admit such a
+recurrence, and the growth rates may climb
 strictly from 1 toward the Catalan limit 4.  The only claim checked as a
 hard fact is that counts never drop when the bound loosens.
 """
@@ -14,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bruteforce import count
 from .genfunc import LinearRecurrence, NoDominantRoot, dominant_root, fit_recurrence
+from .transfer import count
 
 __all__ = [
     "GrowthProfile",
@@ -52,10 +53,11 @@ class GrowthProfile:
 
 
 def build_profile(m: int, n_max: int, ceiling: int | None = None) -> GrowthProfile:
-    """Measure counts for lengths 1..n_max at bound m and guess the growth.
+    """Count lengths 1..n_max at bound m and guess the growth.
 
-    ``n_max`` must sit within the brute-force ceiling.  Reasonable desk
-    defaults: 14 up to bound 3, 12 up to bound 5.
+    The counts come from ``transfer.count``, which refuses lengths above
+    the brute-force ceiling (``ceiling``, else ``PERMLIP_CEILING``, else
+    14) with ``CeilingExceeded``.
     """
     terms = tuple(count(n, m, ceiling) for n in range(1, n_max + 1))
     fitted = None

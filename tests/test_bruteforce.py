@@ -107,9 +107,10 @@ def test_ceiling_enforcement(monkeypatch):
     monkeypatch.setenv("PERMLIP_CEILING", "10")
     with pytest.raises(CeilingExceeded):
         count(11, 2)
-    monkeypatch.setenv("PERMLIP_CEILING", "junk")
-    with pytest.raises(ValueError):
-        count(3, 2)
+    for junk in ("junk", "0", "-3"):
+        monkeypatch.setenv("PERMLIP_CEILING", junk)
+        with pytest.raises(ValueError, match="PERMLIP_CEILING"):
+            count(3, 2)
 
 
 def test_argument_validation():

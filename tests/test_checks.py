@@ -51,3 +51,10 @@ def test_failure_detail_is_specific(monkeypatch):
     monkeypatch.setattr(checks.m2, "max_first_count", lambda n: 99)
     bad = _failures(run_suite("max-first", 6))
     assert any("99" in detail for _, _, detail in bad)
+
+
+def test_transfer_suite_reports_disagreement(monkeypatch):
+    monkeypatch.setattr(checks.transfer, "count", lambda n, m: 0)
+    bad = _failures(run_suite("transfer", 5, 3))
+    assert [name for name, _, _ in bad] == [f"count n={n} m=3" for n in range(1, 6)]
+    assert all("oracle" in detail for _, _, detail in bad)

@@ -25,7 +25,7 @@ def test_engines_agree_on_small_grid(capsys):
         for m in range(1, 5):
             rc, brute, _ = run_cli(capsys, "count", "-n", str(n), "-m", str(m))
             assert rc == 0
-            for engine in ("closed", "recurrence", "gf"):
+            for engine in ("transfer", "closed", "recurrence", "gf"):
                 rc, out, err = run_cli(capsys, "count", "-n", str(n), "-m", str(m),
                                        "--engine", engine)
                 if rc == 2:
@@ -50,21 +50,35 @@ def test_catalan_routes_without_brute(capsys):
     assert rc == 0 and int(out) == catalan(30)
 
 
+def test_transfer_engine_at_the_ceiling(capsys):
+    rc, out, _ = run_cli(capsys, "count", "-n", "14", "-m", "3", "--engine", "transfer")
+    assert rc == 0 and out == "10088\n"
+
+
 def test_no_route_is_usage_error(capsys):
     rc, out, err = run_cli(capsys, "count", "-n", "10", "-m", "3", "--engine", "closed")
     assert rc == 2 and out == "" and "brute" in err
 
 
 def test_ceiling_exit_code(capsys):
-    rc, _, err = run_cli(capsys, "count", "-n", "15", "-m", "2")
-    assert rc == 3
-    assert "ceiling" in err
+    for argv in (["-n", "15", "-m", "2"], ["-n", "15", "-m", "3", "--engine", "transfer"]):
+        rc, _, err = run_cli(capsys, "count", *argv)
+        assert rc == 3
+        assert "ceiling" in err
 
 
 def test_ceiling_env_override(capsys, monkeypatch):
     monkeypatch.setenv("PERMLIP_CEILING", "15")
     rc, out, _ = run_cli(capsys, "count", "-n", "15", "-m", "2")
     assert rc == 0 and out.strip() == "478"
+
+
+def test_bad_ceiling_env_is_usage_error(capsys, monkeypatch):
+    for junk in ("junk", "-3"):
+        monkeypatch.setenv("PERMLIP_CEILING", junk)
+        rc, out, err = run_cli(capsys, "count", "-n", "3", "-m", "2")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: PERMLIP_CEILING") and err.count("\n") == 1
 
 
 def test_bad_arguments_exit_two(capsys):
@@ -107,6 +121,12 @@ def test_seq_json(capsys):
     assert data == {"m": 2, "n_max": 5, "terms": ["1", "2", "5", "8", "12"]}
 
 
+def test_seq_catalan_regime(capsys):
+    rc, out, _ = run_cli(capsys, "seq", "-m", "12", "-N", "13")
+    assert rc == 0
+    assert out == "".join(f"{catalan(n)}\n" for n in range(1, 14))  # ends 742900
+
+
 def test_seq_beyond_ceiling_via_theory(capsys):
     # closed form carries the bound-2 sequence far past the search ceiling
     rc, out, _ = run_cli(capsys, "seq", "-m", "2", "-N", "100", "--format", "csv")
@@ -131,7 +151,8 @@ def test_verify_suite_passes(capsys):
 
 
 def test_verify_all_suites_quick(capsys):
-    for suite in ("max-position", "max-last", "max-second", "max-first", "split"):
+    for suite in ("max-position", "max-last", "max-second", "max-first", "split",
+                  "transfer"):
         rc, out, _ = run_cli(capsys, "verify", "--suite", suite, "-N", "8")
         assert rc == 0, f"{suite} failed"
         assert "FAIL" not in out
