@@ -26,6 +26,8 @@ from .bruteforce import (
 from .m2 import (
     class_count,
     class_count_by_recurrence,
+    class_counts,
+    class_counts_by_recurrence,
     max_first_count,
     max_first_perms,
     max_last_count,
@@ -45,6 +47,7 @@ from .genfunc import (
     gf_m2,
     gf_max_first,
     gf_to_recurrence,
+    nth_coeff,
     series_coeffs,
     verify_recurrence,
 )

@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .m2 import class_count_by_recurrence
+from .m2 import class_counts_by_recurrence
 
 __all__ = [
     "AsymptoticEstimate",
@@ -137,8 +137,7 @@ def convergence_report(n_max: int, est: AsymptoticEstimate | None = None) -> lis
         raise ValueError(f"n_max must lie in 1..10000, got {n_max}")
     est = est or estimate()
     rows = []
-    for n in range(1, n_max + 1):
-        exact = class_count_by_recurrence(n)
+    for n, exact in zip(range(1, n_max + 1), class_counts_by_recurrence()):
         asym_log = log_asymptotic_value(n, est)
         rel = abs(math.expm1(asym_log - math.log(exact)))
         rows.append(ConvergenceRow(n, exact, asym_log, rel))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from . import asymptotics, bruteforce, checks, genfunc, m2, probe, transfer
 
@@ -67,7 +68,7 @@ def _recurrence_count(n: int, m: int) -> int | None:
 
 def _gf_count(n: int, m: int) -> int | None:
     if m in _GF_BY_BOUND:
-        return genfunc.series_coeffs(_GF_BY_BOUND[m](), n + 1)[n]
+        return genfunc.nth_coeff(_GF_BY_BOUND[m](), n)
     return None
 
 
@@ -90,7 +91,7 @@ def _sequence_terms(m: int, n_max: int) -> list[int]:
     if m == 1:
         return [1] + [2] * (n_max - 1)
     if m == 2:
-        return [m2.class_count(n) for n in range(1, n_max + 1)]
+        return list(islice(m2.class_counts(), n_max))
     return [transfer.count(n, m) for n in range(1, n_max + 1)]
 
 
@@ -189,6 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # CPython 3.10.7+ refuses to print an int of more than 4300 digits by
+    # default; counts print in full however long, so lift the cap for the call.
+    digit_cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except bruteforce.CeilingExceeded as exc:
@@ -197,6 +203,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_cap is not None:
+            sys.set_int_max_str_digits(digit_cap)
 
 
 if __name__ == "__main__":

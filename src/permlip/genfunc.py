@@ -30,6 +30,7 @@ __all__ = [
     "gf_max_first",
     "gf_mul",
     "gf_to_recurrence",
+    "nth_coeff",
     "poly_add",
     "poly_eval",
     "poly_gcd",
@@ -207,23 +208,52 @@ def gf_m2() -> RationalGF:
     return gf_add(gf_mul(one_plus_x2, gf_max_first()), ramp)
 
 
-def series_coeffs(gf: RationalGF, count: int) -> list[int]:
+def _exact_quotient(a, b: int):
+    """a / b as an int when b divides a, else as a Fraction."""
+    return a // b if a % b == 0 else Fraction(a, b)
+
+
+def series_coeffs(gf: RationalGF, count: int) -> list[int | Fraction]:
     """First ``count`` series coefficients a_0 .. a_{count-1} at x = 0.
 
-    Convolution driven by the denominator; exact.  Coefficients that are
-    integers come back as ints, anything else as a Fraction.
+    Convolution driven by the denominator; exact.  The arithmetic stays in
+    ints and only divides by the denominator's constant term when that is
+    not 1, so coefficients that are integers come back as ints and anything
+    else as a Fraction.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     p, q = gf.numerator, gf.denominator
+    q0, tail = q[0], q[1:]
     out: list = []
     for n in range(count):
-        acc = Fraction(p[n] if n < len(p) else 0)
-        for i in range(1, min(n, len(q) - 1) + 1):
-            acc -= q[i] * out[n - i]
-        val = acc / q[0]
-        out.append(int(val) if val.denominator == 1 else val)
+        acc = p[n] if n < len(p) else 0
+        for i, c in enumerate(tail[:n], start=1):
+            acc -= c * out[n - i]
+        out.append(acc if q0 == 1 else _exact_quotient(acc, q0))
     return out
+
+
+def nth_coeff(gf: RationalGF, n: int) -> int | Fraction:
+    """Series coefficient a_n of ``gf`` at x = 0, without the ones before it.
+
+    Bostan and Mori's halving ("A simple and fast algorithm for computing
+    the N-th term of a linearly recurrent sequence", SOSA 2021): multiply
+    P/Q through by Q(-x), which makes the denominator even, Q(x)Q(-x) =
+    V(x^2); then a_n of P/Q is the coefficient n // 2 of U_r/V, where U_r
+    collects the terms of P(x)Q(-x) of the parity r of n.  That is
+    O(log n) products of polynomials of degree about deg Q, in ints.  An
+    integer comes back as an int, anything else as a Fraction.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    p, q = gf.numerator, gf.denominator
+    while n:
+        q_neg = tuple(-c if i % 2 else c for i, c in enumerate(q))
+        p = poly_mul(p[:n + 1], q_neg)[n % 2::2]  # terms past x^n never reach a_n
+        q = poly_mul(q, q_neg)[::2]
+        n //= 2
+    return _exact_quotient(p[0] if p else 0, q[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,26 @@ directly here with no search:
 * max-first members satisfy the size recurrence
   count(n) = count(n - 1) + count(n - 3) + 1.
 
-Counting is linear time via memoized tables, so sizes are cheap for n in
-the thousands.
+Sizes come from streams that hold only a sliding window of the last few
+terms, so the n-th size costs O(n) big-integer additions and memory for
+O(1) of them; nothing is cached between calls.
 """
 
 from __future__ import annotations
 
-import threading
+from collections.abc import Iterator
+from itertools import islice
 
 from .core import in_class
 
 __all__ = [
     "class_count",
     "class_count_by_recurrence",
+    "class_counts",
+    "class_counts_by_recurrence",
     "even_descent_perm",
     "max_first_count",
+    "max_first_counts",
     "max_first_perms",
     "max_last_count",
     "max_last_perms",
@@ -36,11 +41,10 @@ __all__ = [
     "zigzag",
 ]
 
-_TABLE_LOCK = threading.Lock()
 
-# index n; slot 0 unused
-_MAX_FIRST = [0, 1, 1, 2]
-_CLASS_REC = [0, 1, 2, 5, 8, 12, 18]
+def _nth(stream: Iterator[int], n: int) -> int:
+    """The n-th item (1-based) of an endless stream."""
+    return next(islice(stream, n - 1, None))
 
 
 def odd_descent_perm(n: int, p: int) -> tuple[int, ...]:
@@ -90,16 +94,22 @@ def max_last_count(n: int) -> int:
     return n - 1
 
 
+def max_first_counts() -> Iterator[int]:
+    """Max-first family sizes f(1), f(2), ... without end, by the size
+    recurrence f(k) = f(k - 1) + f(k - 3) + 1 over a three-term window."""
+    yield 1
+    yield 1
+    a, b, c = 1, 1, 2  # f(k - 2), f(k - 1), f(k)
+    while True:
+        yield c
+        a, b, c = b, c, c + a + 1
+
+
 def max_first_count(n: int) -> int:
-    """Number of max-first members, by the memoized size recurrence."""
+    """Number of max-first members, by the size recurrence."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n >= len(_MAX_FIRST):
-        with _TABLE_LOCK:
-            while len(_MAX_FIRST) <= n:
-                k = len(_MAX_FIRST)
-                _MAX_FIRST.append(_MAX_FIRST[k - 1] + _MAX_FIRST[k - 3] + 1)
-    return _MAX_FIRST[n]
+    return _nth(max_first_counts(), n)
 
 
 def max_second_count(n: int) -> int:
@@ -109,15 +119,46 @@ def max_second_count(n: int) -> int:
     return max_first_count(n - 2)
 
 
+def class_counts() -> Iterator[int]:
+    """Class sizes for n = 1, 2, ... without end, assembled from the three
+    families: f(n) max-first, f(n - 2) max-second and n - 1 max-last
+    members, with f read off one pass of :func:`max_first_counts`."""
+    yield 1
+    yield 2
+    family = max_first_counts()
+    two_back, one_back = next(family), next(family)  # f(n - 2), f(n - 1)
+    for n, f_n in enumerate(family, start=3):
+        yield f_n + two_back + (n - 1)
+        two_back, one_back = one_back, f_n
+
+
 def class_count(n: int) -> int:
-    """Total class size for jump bound 2, assembled from the three families."""
+    """Total class size for jump bound 2, assembled from the three families.
+
+    One pass of :func:`max_first_counts` yields f(n - 2) and then f(n); only
+    the last size is summed, so the pass costs one addition per length.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        return 1
-    if n == 2:
-        return 2
-    return max_first_count(n) + max_first_count(n - 2) + (n - 1)
+    if n <= 2:
+        return n
+    family = islice(max_first_counts(), n - 3, None)
+    two_back, _, f_n = next(family), next(family), next(family)
+    return f_n + two_back + (n - 1)
+
+
+def class_counts_by_recurrence() -> Iterator[int]:
+    """Class sizes for n = 1, 2, ... without end, by the order-5 relation
+    a(n) = 3a(n-1) - 3a(n-2) + 2a(n-3) - 2a(n-4) + a(n-5), valid from n = 7,
+    over a five-term window.
+
+    Independent of :func:`class_counts`; the two must agree everywhere.
+    """
+    yield from (1, 2, 5, 8, 12, 18)
+    a, b, c, d, e = 2, 5, 8, 12, 18  # a(n-5) .. a(n-1)
+    while True:
+        a, b, c, d, e = b, c, d, e, 3 * (e - d) + 2 * (c - b) + a
+        yield e
 
 
 def class_count_by_recurrence(n: int) -> int:
@@ -127,13 +168,7 @@ def class_count_by_recurrence(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n >= len(_CLASS_REC):
-        with _TABLE_LOCK:
-            while len(_CLASS_REC) <= n:
-                a = _CLASS_REC
-                k = len(a)
-                a.append(3 * a[k - 1] - 3 * a[k - 2] + 2 * a[k - 3] - 2 * a[k - 4] + a[k - 5])
-    return _CLASS_REC[n]
+    return _nth(class_counts_by_recurrence(), n)
 
 
 def zigzag(n: int) -> tuple[int, ...]:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from permlip.genfunc import (
     InsufficientData,
@@ -16,6 +16,7 @@ from permlip.genfunc import (
     gf_max_first,
     gf_mul,
     gf_to_recurrence,
+    nth_coeff,
     poly_add,
     poly_eval,
     poly_gcd,
@@ -28,6 +29,7 @@ from permlip.genfunc import (
 from permlip.m2 import class_count
 
 CLASS_COEFFS = (3, -3, 2, -2, 1)
+GF_M1 = RationalGF((0, 1, 1), (1, -1))  # bound 1: 1, 2, 2, 2, ...
 
 
 def class_terms(n_max):
@@ -101,6 +103,42 @@ def test_series_examples():
     # non-integer coefficients stay exact
     assert series_coeffs(RationalGF((1,), (2, -1)), 3) == [
         Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+
+
+def test_series_coefficient_types():
+    for gf in (gf_m2(), gf_max_first(), GF_M1):
+        assert {type(c) for c in series_coeffs(gf, 200)} == {int}
+    assert {type(c) for c in series_coeffs(RationalGF((1,), (2, -1)), 20)} == {Fraction}
+    # an exact division by the constant term still gives an int
+    head, *rest = series_coeffs(RationalGF((2,), (2, -1)), 4)
+    assert type(head) is int and head == 1
+    assert rest == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+
+
+def test_nth_coeff_matches_series():
+    for gf in (gf_m2(), gf_max_first(), GF_M1):
+        series = series_coeffs(gf, 301)
+        assert [nth_coeff(gf, n) for n in range(301)] == series
+    assert nth_coeff(gf_m2(), 1000) == series_coeffs(gf_m2(), 1001)[1000]
+    with pytest.raises(ValueError):
+        nth_coeff(gf_m2(), -1)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.integers(-4, 4), min_size=0, max_size=5),
+    st.integers(-3, 3).filter(bool),
+    st.lists(st.integers(-4, 4), min_size=0, max_size=4),
+    st.integers(0, 80),
+)
+@example([], 1, [1, -1], 0)
+@example([0, 0], 2, [1], 5)
+@example([1], 2, [-1], 0)
+def test_nth_coeff_property(num, q0, den_tail, n):
+    gf = RationalGF(tuple(num), (q0, *den_tail))
+    value, expected = nth_coeff(gf, n), series_coeffs(gf, n + 1)[n]
+    assert value == expected
+    assert type(value) is type(expected)
 
 
 def test_series_matches_closed_form_deep():

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,8 +8,11 @@ from permlip.core import in_class
 from permlip.m2 import (
     class_count,
     class_count_by_recurrence,
+    class_counts,
+    class_counts_by_recurrence,
     even_descent_perm,
     max_first_count,
+    max_first_counts,
     max_first_perms,
     max_last_count,
     max_last_perms,
@@ -75,6 +80,7 @@ def test_max_first_counts():
     assert [max_first_count(n) for n in range(1, 8)] == [1, 1, 2, 4, 6, 9, 14]
     for n in range(4, 60):
         assert max_first_count(n) == max_first_count(n - 1) + max_first_count(n - 3) + 1
+    assert list(islice(max_first_counts(), 59)) == [max_first_count(n) for n in range(1, 60)]
     with pytest.raises(ValueError):
         max_first_count(0)
 
@@ -157,10 +163,14 @@ def test_class_count_routes_agree():
         assert class_count(n) == bruteforce.count(n, 2)
     for n in range(1, 400):
         assert class_count(n) == class_count_by_recurrence(n)
+    by_n = [class_count(n) for n in range(1, 400)]
+    assert list(islice(class_counts(), 399)) == by_n
+    assert list(islice(class_counts_by_recurrence(), 399)) == by_n
     for n in range(3, 200):
         assert class_count(n) == max_first_count(n) + max_first_count(n - 2) + n - 1
-    with pytest.raises(ValueError):
-        class_count(0)
+    for fn in (class_count, class_count_by_recurrence):
+        with pytest.raises(ValueError):
+            fn(0)
 
 
 def test_family_sizes_assemble_total():

@@ -1,0 +1,87 @@
+"""Memory bounds of the exact m = 2 engines.
+
+The engines keep a sliding window of the last few terms and nothing
+between calls, so a count at any length holds O(1) big integers.  The CLI
+checks run in a child interpreter that reports its own peak resident set.
+"""
+
+import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+import permlip
+from permlip import m2
+from permlip.asymptotics import estimate, log_asymptotic_value
+from permlip.cli import main
+
+RSS_LIMIT_MB = 100
+
+# Run the CLI, then print the peak RSS (ru_maxrss: KiB on Linux, bytes on
+# macOS) as the last line of stderr.
+CHILD = """
+import resource, sys
+from permlip.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+raise SystemExit(code)
+"""
+
+
+def run_child(*argv):
+    src = str(Path(permlip.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    maxrss = int(proc.stderr.strip().splitlines()[-1])
+    return proc.stdout, maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+@pytest.mark.parametrize("engine, n", [
+    ("closed", 200000),
+    ("gf", 1000000),
+    ("recurrence", 50000),
+])
+def test_count_runs_in_bounded_memory(engine, n):
+    out, rss_mb = run_child("count", "-n", str(n), "-m", "2", "--engine", engine)
+    assert out.strip().isdigit()
+    assert rss_mb < RSS_LIMIT_MB, f"{engine} at n={n} peaked at {rss_mb:.0f} MB"
+
+
+def test_routes_print_identical_digits(capsys):
+    printed = {}
+    for engine in ("closed", "recurrence", "gf"):
+        assert main(["count", "-n", "50000", "-m", "2", "--engine", engine]) == 0
+        printed[engine] = capsys.readouterr().out
+    assert printed["closed"] == printed["recurrence"] == printed["gf"]
+    # printed in full: as many digits as the leading term amplitude * alpha^n
+    log10 = log_asymptotic_value(50000, estimate()) / math.log(10)
+    assert len(printed["closed"].strip()) == math.floor(log10) + 1 == 8301
+
+
+def test_engines_retain_nothing():
+    """What the bench's m2.retained_mb reads: memory still allocated after a
+    call returns, its result included."""
+    for fn in (m2.class_count, m2.class_count_by_recurrence):
+        tracemalloc.start()
+        try:
+            fn(20000)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1e6, f"{fn.__name__} holds {held} bytes after returning"
+
+
+def test_m2_has_no_module_level_state():
+    mutable = (list, dict, set, bytearray, type(threading.Lock()))
+    tables = [name for name, value in vars(m2).items()
+              if not name.startswith("__") and isinstance(value, mutable)]
+    assert tables == []
