@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
+from itertools import islice
 
 from .core import prefix_extension_ok
 
@@ -23,7 +25,8 @@ __all__ = [
     "DEFAULT_CEILING",
     "brute_force_ceiling",
     "catalan",
-    "catalan_by_convolution",
+    "catalan_by_recurrence",
+    "catalan_numbers",
     "count",
     "m2_class_sizes",
     "max_position_census",
@@ -77,18 +80,18 @@ def _candidates(prefix: list[int], n: int, m: int, used: list[bool]):
             yield v
 
 
-def count(n: int, m: int, ceiling: int | None = None) -> int:
-    """Number of length-n permutations avoiding 132 with all jumps <= m.
-
-    Exact, by pruned search over prefixes.  Branches by first entry are
-    independent, so totals merge by plain addition.
-    """
+def _walk(n: int, m: int, ceiling: int | None, visit=None) -> int:
+    """Depth-first search over prefixes, extended only where the defining
+    predicate allows; calls ``visit`` on each complete member, in
+    lexicographic order, and returns how many there are."""
     _check_args(n, m, ceiling)
     used = [False] * (n + 1)
     prefix: list[int] = []
 
     def walk() -> int:
         if len(prefix) == n:
+            if visit is not None:
+                visit(prefix)
             return 1
         total = 0
         for v in _candidates(prefix, n, m, used):
@@ -103,26 +106,19 @@ def count(n: int, m: int, ceiling: int | None = None) -> int:
     return walk()
 
 
+def count(n: int, m: int, ceiling: int | None = None) -> int:
+    """Number of length-n permutations avoiding 132 with all jumps <= m.
+
+    Exact, by pruned search over prefixes.  Branches by first entry are
+    independent, so totals merge by plain addition.
+    """
+    return _walk(n, m, ceiling)
+
+
 def members(n: int, m: int, ceiling: int | None = None) -> list[tuple[int, ...]]:
     """All class members of length n in lexicographic order."""
-    _check_args(n, m, ceiling)
-    used = [False] * (n + 1)
-    prefix: list[int] = []
     out: list[tuple[int, ...]] = []
-
-    def walk() -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in _candidates(prefix, n, m, used):
-            if prefix_extension_ok(prefix, v, m):
-                used[v] = True
-                prefix.append(v)
-                walk()
-                prefix.pop()
-                used[v] = False
-
-    walk()
+    _walk(n, m, ceiling, lambda prefix: out.append(tuple(prefix)))
     return out
 
 
@@ -133,14 +129,22 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def catalan_by_convolution(n: int) -> int:
-    """Catalan numbers by the convolution recurrence, as an independent route."""
+def catalan_numbers() -> Iterator[int]:
+    """C_0, C_1, ... without end, by C_k = C_(k-1) * 2(2k - 1) / (k + 1):
+    one product of a big int by a small one per term."""
+    c, k = 1, 0
+    while True:
+        yield c
+        k += 1
+        c = c * 2 * (2 * k - 1) // (k + 1)
+
+
+def catalan_by_recurrence(n: int) -> int:
+    """The n-th Catalan number read off :func:`catalan_numbers`, as a route
+    independent of the binomial in :func:`catalan`."""
     if n < 0:
         raise ValueError(f"catalan index must be nonnegative, got {n}")
-    table = [1]
-    for k in range(1, n + 1):
-        table.append(sum(table[i] * table[k - 1 - i] for i in range(k)))
-    return table[n]
+    return next(islice(catalan_numbers(), n, None))
 
 
 def max_position_census(n: int, m: int, ceiling: int | None = None) -> dict[int, int]:

@@ -3,16 +3,17 @@
 Subcommands: count, seq, verify, asym, probe.  Counts are printed as
 exact decimal strings everywhere, including inside JSON, so arbitrarily
 large values survive any consumer.  Exit codes: 0 success, 1 a
-verification suite failed, 2 usage error (including a malformed
+verification suite failed or probe saw counts drop as the bound
+loosened, 2 usage error (including a malformed
 ``PERMLIP_CEILING``), 3 brute-force ceiling exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from itertools import islice
 
 from . import asymptotics, bruteforce, checks, genfunc, m2, probe, transfer
 
@@ -20,13 +21,6 @@ __all__ = ["main", "format_bfile", "parse_bfile"]
 
 ENGINES = ("brute", "transfer", "closed", "recurrence", "gf")
 FORMATS = ("json", "csv", "bfile", "plain")
-
-_GF_BY_BOUND = {
-    # bound 1: one permutation of length 1, two of every longer length
-    1: lambda: genfunc.RationalGF((0, 1, 1), (1, -1)),
-    2: genfunc.gf_m2,
-}
-
 
 def format_bfile(terms, start: int = 1) -> str:
     """OEIS-style b-file lines: index and value separated by one space."""
@@ -45,67 +39,79 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
     return out
 
 
-def _closed_count(n: int, m: int) -> int | None:
+_SEARCH = {"brute": bruteforce.count, "transfer": transfer.count}
+
+# bound 1: one permutation of length 1, two of every longer length
+_GF_M1 = genfunc.RationalGF((0, 1, 1), (1, -1))
+
+
+def _regime(n: int, m: int) -> str | None:
+    """The regime with exact routes that length n and bound m fall in."""
     if m == 1:
-        return 1 if n == 1 else 2
+        return "m=1"
     if m == 2:
-        return m2.class_count(n)
-    if m >= n - 1:
-        return bruteforce.catalan(n)
+        return "m=2"
+    if m >= n - 1:  # no jump exceeds n - 1: every 132-avoider counts
+        return "catalan"
     return None
 
 
-def _recurrence_count(n: int, m: int) -> int | None:
-    if m == 2:
-        return m2.class_count_by_recurrence(n)
-    if m == 1:
-        rec = genfunc.gf_to_recurrence(_GF_BY_BOUND[1]())
-        return genfunc.recurrence_terms(rec, n)[n - 1]
-    if m >= n - 1:
-        return bruteforce.catalan_by_convolution(n)
-    return None
+def _nth(stream, n: int):
+    """The n-th item (1-based) of an endless stream."""
+    return next(itertools.islice(stream, n - 1, None))
 
 
-def _gf_count(n: int, m: int) -> int | None:
-    if m in _GF_BY_BOUND:
-        return genfunc.nth_coeff(_GF_BY_BOUND[m](), n)
-    return None
+# Every exact route, keyed by (regime, engine).  A route maps n to the count
+# at length n, except "terms", the endless stream of counts for n = 1, 2, ...
+# that seq prints.  The closed, recurrence and gf routes of a regime are
+# derived independently, so each cross-checks the others.
+_ROUTES = {
+    ("m=1", "closed"): lambda n: 1 if n == 1 else 2,
+    ("m=1", "recurrence"):
+        lambda n: _nth(genfunc.recurrence_stream(genfunc.gf_to_recurrence(_GF_M1)), n),
+    ("m=1", "gf"): lambda n: genfunc.nth_coeff(_GF_M1, n),
+    ("m=1", "terms"): lambda: itertools.chain([1], itertools.repeat(2)),
+    ("m=2", "closed"): m2.class_count,
+    ("m=2", "recurrence"): m2.class_count_by_recurrence,
+    ("m=2", "gf"): lambda n: genfunc.nth_coeff(genfunc.gf_m2(), n),
+    ("m=2", "terms"): m2.class_counts,
+    ("catalan", "closed"): bruteforce.catalan,
+    ("catalan", "recurrence"): bruteforce.catalan_by_recurrence,
+    ("catalan", "terms"): lambda: itertools.islice(bruteforce.catalan_numbers(), 1, None),
+}
 
 
 def _cmd_count(args) -> int:
     n, m = args.n, args.m
-    value = {"brute": bruteforce.count,
-             "transfer": transfer.count,
-             "closed": _closed_count,
-             "recurrence": _recurrence_count,
-             "gf": _gf_count}[args.engine](n, m)
-    if value is None:
-        print(f"error: engine {args.engine!r} has no exact route for n={n}, m={m}; "
-              "try --engine brute", file=sys.stderr)
-        return 2
+    if args.engine in _SEARCH:
+        value = _SEARCH[args.engine](n, m)
+    else:
+        route = _ROUTES.get((_regime(n, m), args.engine))
+        if route is None:
+            print(f"error: engine {args.engine!r} has no exact route for n={n}, m={m}; "
+                  "try --engine brute", file=sys.stderr)
+            return 2
+        value = route(n)
     print(value)
     return 0
 
 
-def _sequence_terms(m: int, n_max: int) -> list[int]:
-    if m == 1:
-        return [1] + [2] * (n_max - 1)
-    if m == 2:
-        return list(islice(m2.class_counts(), n_max))
-    return [transfer.count(n, m) for n in range(1, n_max + 1)]
-
-
 def _cmd_seq(args) -> int:
-    terms = _sequence_terms(args.m, args.n_max)
-    if args.format == "bfile":
-        sys.stdout.write(format_bfile(terms))
-    elif args.format == "csv":
-        sys.stdout.write("".join(f"{n},{t}\n" for n, t in enumerate(terms, start=1)))
-    elif args.format == "json":
-        print(json.dumps({"m": args.m, "n_max": args.n_max,
-                          "terms": [str(t) for t in terms]}))
-    else:
-        sys.stdout.write("".join(f"{t}\n" for t in terms))
+    m, n_max, out = args.m, args.n_max, sys.stdout
+    route = _ROUTES.get((_regime(n_max, m), "terms"))
+    if route is not None:
+        terms = itertools.islice(route(), n_max)  # streamed: a few terms in memory at once
+    else:  # the search refuses past its ceiling before anything is written
+        terms = [transfer.count(n, m) for n in range(1, n_max + 1)]
+    if args.format == "json":
+        out.write(f'{{"m": {m}, "n_max": {n_max}, "terms": [')
+        for n, t in enumerate(terms):
+            out.write(f', "{t}"' if n else f'"{t}"')
+        out.write("]}\n")
+        return 0
+    line = {"bfile": "{0} {1}\n", "csv": "{0},{1}\n", "plain": "{1}\n"}[args.format]
+    for n, t in enumerate(terms, start=1):
+        out.write(line.format(n, t))
     return 0
 
 
@@ -132,9 +138,13 @@ def _cmd_asym(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    prof = probe.build_profile(args.m, args.n_max)
-    print(json.dumps(probe.profile_to_dict(prof)))
-    return 0
+    profiles = [probe.build_profile(m, args.n_max) for m in args.m]
+    report = probe.monotonicity_check(profiles)
+    for prof in profiles:
+        print(json.dumps(probe.profile_to_dict(prof)))
+    if len(profiles) > 1:
+        print(json.dumps(probe.report_to_dict(report)))
+    return 0 if report.termwise_ok else 1
 
 
 def _positive(kind: str):
@@ -180,8 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the n,exact,asymptotic,rel_error CSV up to N instead")
     p.set_defaults(func=_cmd_asym)
 
-    p = sub.add_parser("probe", help="growth profile for one jump bound as JSON")
-    p.add_argument("-m", type=_positive("m"), required=True)
+    p = sub.add_parser("probe", help="growth profiles for one or more jump bounds as JSON")
+    p.add_argument("-m", type=_positive("m"), nargs="+", required=True,
+                   help="jump bounds, strictly increasing; several add a closing line "
+                        "comparing them, and exit 1 if counts ever drop as the bound loosens")
     p.add_argument("-N", "--n-max", dest="n_max", type=_positive("N"), required=True)
     p.set_defaults(func=_cmd_probe)
 

@@ -12,11 +12,13 @@ All arithmetic except root finding is exact (Python ints and Fractions).
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
-
-import numpy
+from operator import mul
 
 __all__ = [
     "InsufficientData",
@@ -36,6 +38,7 @@ __all__ = [
     "poly_gcd",
     "poly_mul",
     "poly_sub",
+    "recurrence_stream",
     "recurrence_terms",
     "series_coeffs",
     "verify_recurrence",
@@ -313,15 +316,35 @@ def verify_recurrence(seq, rec: LinearRecurrence) -> bool:
     )
 
 
+def recurrence_stream(rec: LinearRecurrence) -> Iterator:
+    """Terms a_1, a_2, ... without end, from the initial terms and the
+    relation over a window of the last ``order`` terms.
+
+    The arithmetic runs in ints when the coefficients are integers.  A
+    generated term that is an integer comes back as an int, anything else
+    as a Fraction.
+    """
+    coeffs = rec.coefficients[::-1]  # c_d .. c_1, aligned with the window
+    if all(c.denominator == 1 for c in coeffs):
+        coeffs = tuple(map(int, coeffs))
+    window = deque([0] * rec.order, maxlen=rec.order)  # a_{n-d} .. a_{n-1}
+    append = window.append
+    for val in rec.initial_terms:
+        yield val
+        append(val)
+    while True:
+        val = sum(map(mul, coeffs, window))
+        if type(val) is Fraction and val.denominator == 1:
+            val = int(val)
+        append(val)
+        yield val
+
+
 def recurrence_terms(rec: LinearRecurrence, count: int) -> list:
-    """Terms a_1 .. a_count generated from the initial terms and the relation."""
+    """Terms a_1 .. a_count, the head of :func:`recurrence_stream`."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    out = list(rec.initial_terms[:count])
-    for n in range(len(out) + 1, count + 1):
-        val = _predicted(rec, out, n)
-        out.append(int(val) if val.denominator == 1 else val)
-    return out
+    return list(islice(recurrence_stream(rec), count))
 
 
 def gf_to_recurrence(gf: RationalGF) -> LinearRecurrence:
@@ -346,65 +369,63 @@ def gf_to_recurrence(gf: RationalGF) -> LinearRecurrence:
     return LinearRecurrence(coeffs, valid_from, initial)
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction], ncols: int):
-    """Particular solution of an overdetermined exact linear system, with
-    free variables pinned to 0; None when inconsistent."""
-    mat = [row + [b] for row, b in zip(rows, rhs)]
-    pivot_of: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
+def _berlekamp_massey(seq) -> list[Fraction]:
+    """Connection polynomial C (C[0] = 1) of the shortest linear feedback
+    shift register generating ``seq``, by Berlekamp-Massey over the
+    rationals (Massey, IEEE Trans. Inf. Theory 1969): every term from
+    index deg C on satisfies sum_i C[i] * seq[j - i] = 0."""
+    c, prev = [Fraction(1)], [Fraction(1)]
+    span, gap, prev_d = 0, 1, Fraction(1)
+    for j in range(len(seq)):
+        d = sum(c[i] * seq[j - i] for i in range(min(len(c), j + 1)))
+        if d == 0:
+            gap += 1
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivot_of[c] = r
-        r += 1
-        if r == len(mat):
-            break
-    for i in range(r, len(mat)):
-        if mat[i][ncols] != 0:
-            return None
-    return [mat[pivot_of[c]][ncols] if c in pivot_of else Fraction(0) for c in range(ncols)]
+        old = c
+        c = c + [Fraction(0)] * (len(prev) + gap - len(c))
+        factor = d / prev_d
+        for i, x in enumerate(prev):
+            c[i + gap] -= factor * x
+        if 2 * span <= j:
+            span, prev, prev_d, gap = j + 1 - span, old, d, 1
+        else:
+            gap += 1
+    return list(_trim(c))
 
 
 def fit_recurrence(seq, max_order: int, max_offset: int) -> LinearRecurrence | None:
     """Guess the lowest-order exact recurrence satisfied by ``seq``.
 
-    Searches by ascending order, then ascending valid_from (at most
-    1 + max_offset), solving each candidate exactly over the rationals.
-    The last two terms never enter a fit; a candidate only survives if the
-    relation then holds on every index through the end of the data,
-    held-out tail included.  Returns None when nothing fits.
+    One Berlekamp-Massey pass over all terms gives the connection
+    polynomial C; the order is deg C, the coefficients are -C[1:], and
+    valid_from is one past the last index where the relation, read with
+    a_k = 0 for k <= 0, fails.  The fit is accepted only when the order is
+    at most max_order, valid_from is at most 1 + max_offset, and the
+    indices from valid_from up to the last two terms still give ``order``
+    equations: the last two are spare, a held-out tail that must agree
+    too.  Returns None when nothing fits.
+
+    Berlekamp-Massey returns the shortest register, which is only pinned
+    down by the data once it holds at least twice the register's length
+    in terms.  A shorter series can be refused even when some relation of
+    low order, starting late, happens to fit it.
     """
     if max_order < 1 or max_offset < 0:
         raise ValueError(f"bad search bounds: max_order={max_order}, max_offset={max_offset}")
     L = len(seq)
     if L < 4:
         raise InsufficientData(f"need at least 4 terms, got {L}")
-    fit_end = L - 2
-    for order in range(1, max_order + 1):
-        for valid_from in range(1, max_offset + 2):
-            if fit_end - valid_from + 1 < order:
-                break  # too few equations for this many unknowns
-            rows = []
-            rhs = []
-            for n in range(valid_from, fit_end + 1):
-                rows.append([Fraction(seq[n - i - 1]) if n - i >= 1 else Fraction(0)
-                             for i in range(1, order + 1)])
-                rhs.append(Fraction(seq[n - 1]))
-            sol = _solve_exact(rows, rhs, order)
-            if sol is None or sol[-1] == 0:
-                continue
-            rec = LinearRecurrence(tuple(sol), valid_from, tuple(seq[:valid_from - 1]))
-            if verify_recurrence(seq, rec):
-                return rec
-    return None
+    c = _berlekamp_massey(seq)
+    order = len(c) - 1
+    if not 1 <= order <= max_order:
+        return None
+    failing = [j for j in range(L)
+               if sum(c[i] * seq[j - i] for i in range(min(order, j) + 1)) != 0]
+    valid_from = failing[-1] + 2 if failing else 1
+    if valid_from > 1 + max_offset or (L - 2) - valid_from + 1 < order:
+        return None
+    rec = LinearRecurrence(tuple(-x for x in c[1:]), valid_from, tuple(seq[:valid_from - 1]))
+    return rec if verify_recurrence(seq, rec) else None
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +439,8 @@ def dominant_root(rec, tolerance: float = 1e-12) -> float:
     NoDominantRoot is raised.  Located via the companion matrix, then
     polished by Newton steps well past ``tolerance``.
     """
+    import numpy  # a tenth of a second to import; only root finding needs it
+
     coeffs = [float(c) for c in getattr(rec, "coefficients", rec)]
     if not coeffs:
         raise ValueError("empty coefficient list")

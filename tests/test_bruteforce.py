@@ -6,7 +6,7 @@ import pytest
 from permlip.bruteforce import (
     CeilingExceeded,
     catalan,
-    catalan_by_convolution,
+    catalan_by_recurrence,
     count,
     m2_class_sizes,
     max_position_census,
@@ -60,8 +60,8 @@ def test_catalan_routes_agree():
     assert catalan(3) == 5
     assert catalan(10) == 16796
     assert catalan(10) == math.comb(20, 10) // 11
-    for n in range(0, 15):
-        assert catalan(n) == catalan_by_convolution(n)
+    for n in (*range(0, 15), 100, 1000):
+        assert catalan(n) == catalan_by_recurrence(n)
     with pytest.raises(ValueError):
         catalan(-1)
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -48,6 +49,19 @@ def test_catalan_routes_without_brute(capsys):
     assert rc == 0 and int(out) == catalan(30)
     rc, out, _ = run_cli(capsys, "count", "-n", "30", "-m", "40", "--engine", "recurrence")
     assert rc == 0 and int(out) == catalan(30)
+
+
+def test_catalan_recurrence_route_is_linear(capsys):
+    start = time.perf_counter()
+    rc, out, _ = run_cli(capsys, "count", "-n", "6000", "-m", "5999", "--engine", "recurrence")
+    assert time.perf_counter() - start < 10  # the convolution route took minutes here
+    assert rc == 0 and int(out) == catalan(6000)
+
+
+def test_bound_1_routes_at_large_n(capsys):
+    for engine in ("closed", "recurrence", "gf"):
+        rc, out, _ = run_cli(capsys, "count", "-n", "300000", "-m", "1", "--engine", engine)
+        assert rc == 0 and out == "2\n"
 
 
 def test_transfer_engine_at_the_ceiling(capsys):
@@ -122,9 +136,11 @@ def test_seq_json(capsys):
 
 
 def test_seq_catalan_regime(capsys):
-    rc, out, _ = run_cli(capsys, "seq", "-m", "12", "-N", "13")
-    assert rc == 0
-    assert out == "".join(f"{catalan(n)}\n" for n in range(1, 14))  # ends 742900
+    # ends 742900; the second stays exact past the search ceiling
+    for m, n_max in ((12, 13), (30, 20)):
+        rc, out, _ = run_cli(capsys, "seq", "-m", str(m), "-N", str(n_max))
+        assert rc == 0
+        assert out == "".join(f"{catalan(n)}\n" for n in range(1, n_max + 1))
 
 
 def test_seq_beyond_ceiling_via_theory(capsys):
@@ -132,6 +148,30 @@ def test_seq_beyond_ceiling_via_theory(capsys):
     rc, out, _ = run_cli(capsys, "seq", "-m", "2", "-N", "100", "--format", "csv")
     assert rc == 0
     assert out.splitlines()[-1] == "100,60117578549718044"
+
+
+def test_seq_streamed_output_matches_whole_formats(capsys):
+    """Each format, written term by term, equals the whole-list rendering."""
+    from itertools import islice
+    from permlip.m2 import class_counts
+    for m, terms in ((1, [1] + [2] * 299), (2, list(islice(class_counts(), 300))),
+                     (3, [1, 2, 5, 14, 28, 55])):
+        n_max = str(len(terms))
+        expected = {
+            "plain": "".join(f"{t}\n" for t in terms),
+            "csv": "".join(f"{n},{t}\n" for n, t in enumerate(terms, start=1)),
+            "bfile": format_bfile(terms),
+            "json": json.dumps({"m": m, "n_max": len(terms),
+                                "terms": [str(t) for t in terms]}) + "\n",
+        }
+        for fmt, text in expected.items():
+            rc, out, _ = run_cli(capsys, "seq", "-m", str(m), "-N", n_max, "--format", fmt)
+            assert rc == 0 and out == text, (m, fmt)
+
+
+def test_seq_ceiling_refuses_before_writing(capsys):
+    rc, out, err = run_cli(capsys, "seq", "-m", "3", "-N", "15")
+    assert rc == 3 and out == "" and "ceiling" in err
 
 
 def test_bfile_round_trip_tolerates_comments():
@@ -207,6 +247,34 @@ def test_probe_ratio_fallback(capsys):
     data = json.loads(out)
     assert data["fitted"] is None
     assert data["method"] == "ratio-extrapolation"
+
+
+def test_probe_several_bounds(capsys):
+    singles = [run_cli(capsys, "probe", "-m", str(m), "-N", "10")[1] for m in (1, 2, 3)]
+    rc, out, _ = run_cli(capsys, "probe", "-m", "1", "2", "3", "-N", "10")
+    assert rc == 0
+    lines = out.splitlines(keepends=True)
+    assert lines[:3] == singles
+    report = json.loads(lines[3])
+    assert len(lines) == 4
+    assert report["m_values"] == [1, 2, 3] and report["n_max"] == 10
+    assert report["termwise_ok"] is True and report["termwise_failures"] == []
+    assert report["alphas"] == [json.loads(line)["alpha_estimate"] for line in singles]
+
+
+def test_probe_bounds_must_increase(capsys):
+    rc, out, err = run_cli(capsys, "probe", "-m", "3", "2", "-N", "6")
+    assert rc == 2 and out == "" and "strictly increasing" in err
+
+
+def test_probe_exits_one_when_counts_drop(capsys, monkeypatch):
+    import permlip.probe as probe
+    monkeypatch.setattr(probe, "count", lambda n, m, ceiling=None: 10 * n - m)
+    rc, out, _ = run_cli(capsys, "probe", "-m", "1", "2", "-N", "4")
+    assert rc == 1
+    report = json.loads(out.splitlines()[-1])
+    assert report["termwise_ok"] is False
+    assert report["termwise_failures"][0] == [1, 2, 1, 9, 8]
 
 
 # ---------------------------------------------------------------- entry point

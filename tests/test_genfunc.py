@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -22,6 +23,7 @@ from permlip.genfunc import (
     poly_gcd,
     poly_mul,
     poly_sub,
+    recurrence_stream,
     recurrence_terms,
     series_coeffs,
     verify_recurrence,
@@ -253,6 +255,43 @@ def test_fit_round_trip(data):
     assert fit is not None
     assert fit.order <= source.order
     assert verify_recurrence(terms, fit) is True
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(-3, 3).filter(bool),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=5),
+)
+@example(1, [-1, -1, 2, -2, 1], [0, 1, -1, 2, -1, 1])  # gf_m2, unreduced
+@example(2, [-1], [0, 1])
+def test_fit_reads_the_denominator_of_a_rational_gf(q0, den_tail, num):
+    """Given twice the relation's span in terms, and two more, the fit is
+    the recurrence of the reduced GF: order deg Q, coefficients -q_i/q_0."""
+    gf = RationalGF(tuple(num), (q0, *den_tail))
+    q = gf.denominator
+    assume(gf.numerator and len(q) >= 2)
+    span = max(len(gf.numerator), len(q)) - 1
+    seq = series_coeffs(gf, 2 * span + 3)[1:]
+    fit = fit_recurrence(seq, max_order=len(q) - 1, max_offset=span)
+    assert fit is not None
+    assert fit.order == len(q) - 1
+    assert fit.coefficients == tuple(Fraction(-qi, q[0]) for qi in q[1:])
+    assert fit == gf_to_recurrence(gf)
+
+
+def test_recurrence_stream_keeps_ints_and_fractions():
+    rec = gf_to_recurrence(gf_m2())
+    head = list(islice(recurrence_stream(rec), 300))
+    assert head == class_terms(300)
+    assert all(type(t) is int for t in head)
+    halves = LinearRecurrence((Fraction(1, 2),), 2, (4,))
+    terms = recurrence_terms(halves, 4)
+    assert terms == [4, 2, 1, Fraction(1, 2)]
+    assert [type(t) for t in terms] == [int, int, int, Fraction]
+    assert recurrence_terms(halves, 0) == []
+    with pytest.raises(ValueError):
+        recurrence_terms(halves, -1)
 
 
 @settings(max_examples=30)

@@ -1,7 +1,8 @@
-"""Memory bounds of the exact m = 2 engines.
+"""Memory bounds of the exact engines and of ``seq``.
 
 The engines keep a sliding window of the last few terms and nothing
-between calls, so a count at any length holds O(1) big integers.  The CLI
+between calls, so a count at any length holds O(1) big integers, and
+``seq`` writes each term as it comes.  The CLI
 checks run in a child interpreter that reports its own peak resident set.
 """
 
@@ -34,12 +35,12 @@ raise SystemExit(code)
 """
 
 
-def run_child(*argv):
+def run_child(*argv, stdout=subprocess.PIPE):
     src = str(Path(permlip.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     maxrss = int(proc.stderr.strip().splitlines()[-1])
     return proc.stdout, maxrss / (2**20 if sys.platform == "darwin" else 2**10)
@@ -54,6 +55,24 @@ def test_count_runs_in_bounded_memory(engine, n):
     out, rss_mb = run_child("count", "-n", str(n), "-m", "2", "--engine", engine)
     assert out.strip().isdigit()
     assert rss_mb < RSS_LIMIT_MB, f"{engine} at n={n} peaked at {rss_mb:.0f} MB"
+
+
+def test_seq_streams_in_bounded_memory():
+    # 133 MB of digits: written as the terms come, never held whole
+    _, rss_mb = run_child("seq", "-m", "2", "-N", "40000", stdout=subprocess.DEVNULL)
+    assert rss_mb < RSS_LIMIT_MB, f"seq -N 40000 peaked at {rss_mb:.0f} MB"
+
+
+def test_recurrence_routes_hold_a_window():
+    """The m = 1 and Catalan recurrence routes keep a few terms, not n."""
+    for argv in (["-n", "300000", "-m", "1"], ["-n", "6000", "-m", "5999"]):
+        tracemalloc.start()
+        try:
+            assert main(["count", *argv, "--engine", "recurrence"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"count {' '.join(argv)} peaked at {peak} traced bytes"
 
 
 def test_routes_print_identical_digits(capsys):
