@@ -39,17 +39,15 @@ from .m2 import (
 )
 from .genfunc import (
     InsufficientData,
-    LinearRecurrence,
     NoDominantRoot,
     RationalGF,
     dominant_root,
     fit_recurrence,
     gf_m2,
     gf_max_first,
-    gf_to_recurrence,
     nth_coeff,
     series_coeffs,
-    verify_recurrence,
+    series_stream,
 )
 from .asymptotics import (
     AsymptoticEstimate,

@@ -61,7 +61,7 @@ def suite_transfer(n_max: int, m: int | None = None) -> list[Result]:
     return out
 
 
-def suite_max_last(n_max: int, m: int | None = None) -> list[Result]:
+def suite_max_last(n_max: int) -> list[Result]:
     """Constructed max-last family matches the oracle and has the stated
     rigid shape."""
     out = []
@@ -85,7 +85,7 @@ def suite_max_last(n_max: int, m: int | None = None) -> list[Result]:
     return out
 
 
-def suite_max_second(n_max: int, m: int | None = None) -> list[Result]:
+def suite_max_second(n_max: int) -> list[Result]:
     """Dropping the top two entries bijects max-second members onto the
     max-first family two sizes down."""
     out = []
@@ -104,7 +104,7 @@ def suite_max_second(n_max: int, m: int | None = None) -> list[Result]:
     return out
 
 
-def suite_max_first(n_max: int, m: int | None = None) -> list[Result]:
+def suite_max_first(n_max: int) -> list[Result]:
     """Recursive construction of max-first members matches the oracle; the
     excluded second/third-entry pattern never occurs; the zigzag is pinned
     down by its first three entries."""
@@ -128,7 +128,7 @@ def suite_max_first(n_max: int, m: int | None = None) -> list[Result]:
     return out
 
 
-def suite_split(n_max: int, m: int | None = None) -> list[Result]:
+def suite_split(n_max: int) -> list[Result]:
     """Three-way split by maximum position is exhaustive and the family
     sizes assemble the total; left block dominates right block."""
     out = []
@@ -150,7 +150,7 @@ def suite_split(n_max: int, m: int | None = None) -> list[Result]:
     return out
 
 
-def suite_gf(n_max: int, m: int | None = None) -> list[Result]:
+def suite_gf(n_max: int) -> list[Result]:
     """Series, closed form, and recurrence agree; the assembled rational
     function is reduced and correct."""
     out = []
@@ -173,7 +173,7 @@ def suite_gf(n_max: int, m: int | None = None) -> list[Result]:
     return out
 
 
-def suite_asymptotics(n_max: int, m: int | None = None) -> list[Result]:
+def suite_asymptotics(n_max: int) -> list[Result]:
     """Growth constants are mutually consistent and the leading term closes
     in on the exact counts."""
     out = []
@@ -181,7 +181,7 @@ def suite_asymptotics(n_max: int, m: int | None = None) -> list[Result]:
     out.append(_check("residual", abs(1 - est.rho - est.rho**3) < 1e-12, f"rho={est.rho!r}"))
     out.append(_check("reciprocal", abs(est.alpha * est.rho - 1) < 1e-12, "alpha != 1/rho"))
     out.append(_check("cubic", abs(est.alpha**3 - est.alpha**2 - 1) < 1e-10, "alpha cubic fails"))
-    root = genfunc.dominant_root(genfunc.gf_to_recurrence(genfunc.gf_m2()))
+    root = genfunc.dominant_root(genfunc.gf_m2())
     out.append(_check("char root", abs(root - est.alpha) < 1e-9,
                       f"char poly root {root!r} vs alpha {est.alpha!r}"))
     rows = asymptotics.convergence_report(max(100, min(n_max, 10**4)))
@@ -208,7 +208,18 @@ SUITES = {
 }
 
 
+# The suites that take a jump bound; every other one checks m = 2 only.
+BOUNDED = ("max-position", "transfer")
+
+
 def run_suite(name: str, n_max: int, m: int | None = None) -> list[Result]:
+    """Run one suite.  ``m`` picks the jump bound of a suite in BOUNDED
+    (None sweeps 1..4); the other suites accept only None or 2."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](n_max, m)
+    if name in BOUNDED:
+        return SUITES[name](n_max, m)
+    if m not in (None, 2):
+        raise ValueError(f"suite {name!r} checks m = 2 only, got m={m}; "
+                         f"only {' and '.join(BOUNDED)} take a bound")
+    return SUITES[name](n_max)

@@ -56,19 +56,14 @@ def _regime(n: int, m: int) -> str | None:
     return None
 
 
-def _nth(stream, n: int):
-    """The n-th item (1-based) of an endless stream."""
-    return next(itertools.islice(stream, n - 1, None))
-
-
 # Every exact route, keyed by (regime, engine).  A route maps n to the count
 # at length n, except "terms", the endless stream of counts for n = 1, 2, ...
 # that seq prints.  The closed, recurrence and gf routes of a regime are
 # derived independently, so each cross-checks the others.
 _ROUTES = {
     ("m=1", "closed"): lambda n: 1 if n == 1 else 2,
-    ("m=1", "recurrence"):
-        lambda n: _nth(genfunc.recurrence_stream(genfunc.gf_to_recurrence(_GF_M1)), n),
+    ("m=1", "recurrence"):  # a_n read off the series a_0, a_1, ...
+        lambda n: next(itertools.islice(genfunc.series_stream(_GF_M1), n, None)),
     ("m=1", "gf"): lambda n: genfunc.nth_coeff(_GF_M1, n),
     ("m=1", "terms"): lambda: itertools.chain([1], itertools.repeat(2)),
     ("m=2", "closed"): m2.class_count,
@@ -182,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(checks.SUITES), required=True)
     p.add_argument("-N", "--n-max", dest="n_max", type=_positive("N"), default=10)
     p.add_argument("-m", type=_positive("m"), default=None,
-                   help="jump bound for suites that take one (default: sweep 1..4)")
+                   help=f"jump bound for the {' and '.join(checks.BOUNDED)} suites "
+                        "(default: sweep 1..4); the others check m = 2 only and "
+                        "refuse any other bound")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("asym", help="growth constants, or a convergence table")

@@ -1,11 +1,14 @@
-"""Exact integer polynomials, rational generating functions, and
-constant-coefficient linear recurrences, including recurrence guessing.
+"""Exact integer polynomials and rational generating functions, including
+recurrence guessing.
 
 Conventions.  A polynomial is a tuple of ints indexed by degree with no
 trailing zeros; the zero polynomial is the empty tuple.  Sequences are
-1-indexed: ``seq[0]`` holds the term a_1.  Recurrence checking treats a_k
-as 0 for every k <= 0, so a relation may validly start at an index at or
-below its order when the early terms happen to extend by zeros.
+1-indexed: ``seq[0]`` holds the term a_1.  A rational generating function
+P/Q is also its constant-coefficient linear recurrence: a_n = sum_i
+(-q_i/q_0) a_{n-i} from some index on, read with a_k = 0 for every k <= 0,
+so a relation may validly start at an index at or below its order when the
+early terms happen to extend by zeros.  ``fit_recurrence`` guesses that
+function from terms a_1, a_2, ... and returns it with a_0 = 0.
 
 All arithmetic except root finding is exact (Python ints and Fractions).
 """
@@ -16,13 +19,12 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import gcd
+from itertools import count as naturals, islice
+from math import gcd, lcm
 from operator import mul
 
 __all__ = [
     "InsufficientData",
-    "LinearRecurrence",
     "NoDominantRoot",
     "RationalGF",
     "dominant_root",
@@ -31,17 +33,14 @@ __all__ = [
     "gf_m2",
     "gf_max_first",
     "gf_mul",
-    "gf_to_recurrence",
     "nth_coeff",
     "poly_add",
     "poly_eval",
     "poly_gcd",
     "poly_mul",
     "poly_sub",
-    "recurrence_stream",
-    "recurrence_terms",
     "series_coeffs",
-    "verify_recurrence",
+    "series_stream",
 ]
 
 
@@ -183,6 +182,28 @@ class RationalGF:
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
 
+    @property
+    def order(self) -> int:
+        """Order of the coefficients' recurrence: the degree of Q."""
+        return len(self.denominator) - 1
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """c_1 .. c_order with a_n = sum_i c_i a_{n-i}: c_i = -q_i / q_0."""
+        q0 = self.denominator[0]
+        return tuple(Fraction(-qi, q0) for qi in self.denominator[1:])
+
+    @property
+    def valid_from(self) -> int:
+        """First n >= 1 from which the recurrence holds for a_1, a_2, ...
+
+        With a_0 read as 0 the series is P/Q - p_0/q_0, whose numerator
+        q_0 P - p_0 Q has degree below valid_from.
+        """
+        p, q = self.numerator, self.denominator
+        p0 = p[0] if p else 0
+        return max(1, len(poly_sub([q[0] * c for c in p], [p0 * c for c in q])))
+
 
 def gf_add(a: RationalGF, b: RationalGF) -> RationalGF:
     num = poly_add(poly_mul(a.numerator, b.denominator), poly_mul(b.numerator, a.denominator))
@@ -216,25 +237,30 @@ def _exact_quotient(a, b: int):
     return a // b if a % b == 0 else Fraction(a, b)
 
 
-def series_coeffs(gf: RationalGF, count: int) -> list[int | Fraction]:
-    """First ``count`` series coefficients a_0 .. a_{count-1} at x = 0.
+def series_stream(gf: RationalGF) -> Iterator[int | Fraction]:
+    """Series coefficients a_0, a_1, ... of ``gf`` at x = 0, without end.
 
-    Convolution driven by the denominator; exact.  The arithmetic stays in
-    ints and only divides by the denominator's constant term when that is
-    not 1, so coefficients that are integers come back as ints and anything
-    else as a Fraction.
+    Convolution driven by the denominator over a window of the last deg Q
+    coefficients; exact.  The arithmetic stays in ints and only divides by
+    the denominator's constant term when that is not 1, so coefficients
+    that are integers come back as ints and anything else as a Fraction.
     """
+    p, q = gf.numerator, gf.denominator
+    q0, tail = q[0], q[:0:-1]  # q_d .. q_1, aligned with the window
+    window = deque([0] * len(tail), maxlen=len(tail))  # a_{n-d} .. a_{n-1}
+    for n in naturals():
+        acc = (p[n] if n < len(p) else 0) - sum(map(mul, tail, window))
+        val = acc if q0 == 1 else _exact_quotient(acc, q0)
+        window.append(val)
+        yield val
+
+
+def series_coeffs(gf: RationalGF, count: int) -> list[int | Fraction]:
+    """First ``count`` series coefficients a_0 .. a_{count-1}, the head of
+    :func:`series_stream`."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    p, q = gf.numerator, gf.denominator
-    q0, tail = q[0], q[1:]
-    out: list = []
-    for n in range(count):
-        acc = p[n] if n < len(p) else 0
-        for i, c in enumerate(tail[:n], start=1):
-            acc -= c * out[n - i]
-        out.append(acc if q0 == 1 else _exact_quotient(acc, q0))
-    return out
+    return list(islice(series_stream(gf), count))
 
 
 def nth_coeff(gf: RationalGF, n: int) -> int | Fraction:
@@ -260,114 +286,7 @@ def nth_coeff(gf: RationalGF, n: int) -> int | Fraction:
 
 
 # ---------------------------------------------------------------------------
-# linear recurrences
-
-@dataclass(frozen=True)
-class LinearRecurrence:
-    """a_n = sum_i coefficients[i-1] * a_{n-i} for every n >= valid_from,
-    with a_k read as 0 for k <= 0.
-
-    ``initial_terms`` carries a_1 .. a_{valid_from - 1}, the terms the
-    relation does not determine.
-    """
-
-    coefficients: tuple[Fraction, ...]
-    valid_from: int
-    initial_terms: tuple = ()
-
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
-        if not coeffs:
-            raise ValueError("order must be at least 1")
-        if coeffs[-1] == 0:
-            raise ValueError("leading-order coefficient must be nonzero")
-        if self.valid_from < 1:
-            raise ValueError(f"valid_from must be >= 1, got {self.valid_from}")
-        if len(self.initial_terms) != self.valid_from - 1:
-            raise ValueError(
-                f"need {self.valid_from - 1} initial terms, got {len(self.initial_terms)}"
-            )
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "initial_terms", tuple(self.initial_terms))
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
-
-
-def _predicted(rec: LinearRecurrence, seq, n: int):
-    # n is a 1-based sequence index; indices at or below 0 contribute 0
-    acc = Fraction(0)
-    for i, c in enumerate(rec.coefficients, start=1):
-        k = n - i
-        if k >= 1:
-            acc += c * seq[k - 1]
-    return acc
-
-
-def verify_recurrence(seq, rec: LinearRecurrence) -> bool:
-    """Exact check of the relation at every index from valid_from to len(seq)."""
-    if len(seq) < rec.valid_from + rec.order:
-        raise ValueError(
-            f"need terms through index {rec.valid_from + rec.order}, got {len(seq)}"
-        )
-    return all(
-        _predicted(rec, seq, n) == seq[n - 1] for n in range(rec.valid_from, len(seq) + 1)
-    )
-
-
-def recurrence_stream(rec: LinearRecurrence) -> Iterator:
-    """Terms a_1, a_2, ... without end, from the initial terms and the
-    relation over a window of the last ``order`` terms.
-
-    The arithmetic runs in ints when the coefficients are integers.  A
-    generated term that is an integer comes back as an int, anything else
-    as a Fraction.
-    """
-    coeffs = rec.coefficients[::-1]  # c_d .. c_1, aligned with the window
-    if all(c.denominator == 1 for c in coeffs):
-        coeffs = tuple(map(int, coeffs))
-    window = deque([0] * rec.order, maxlen=rec.order)  # a_{n-d} .. a_{n-1}
-    append = window.append
-    for val in rec.initial_terms:
-        yield val
-        append(val)
-    while True:
-        val = sum(map(mul, coeffs, window))
-        if type(val) is Fraction and val.denominator == 1:
-            val = int(val)
-        append(val)
-        yield val
-
-
-def recurrence_terms(rec: LinearRecurrence, count: int) -> list:
-    """Terms a_1 .. a_count, the head of :func:`recurrence_stream`."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    return list(islice(recurrence_stream(rec), count))
-
-
-def gf_to_recurrence(gf: RationalGF) -> LinearRecurrence:
-    """Recurrence satisfied by the 1-indexed coefficient sequence of ``gf``.
-
-    Coefficients come from the denominator; the relation starts right after
-    the last index where the numerator (with its constant term folded out)
-    still interferes.
-    """
-    q = gf.denominator
-    if len(q) < 2:
-        raise ValueError("denominator must have positive degree to define a recurrence")
-    q0 = q[0]
-    coeffs = tuple(Fraction(-qi, q0) for qi in q[1:])
-    head = Fraction(gf.numerator[0] if gf.numerator else 0, q0)
-    shifted = [Fraction(c) - head * qi for c, qi in
-               zip(list(gf.numerator) + [0] * len(q), list(q) + [0] * len(gf.numerator))]
-    while shifted and shifted[-1] == 0:
-        shifted.pop()
-    valid_from = max(1, len(shifted))
-    initial = tuple(series_coeffs(gf, valid_from)[1:])
-    return LinearRecurrence(coeffs, valid_from, initial)
-
+# recurrence guessing
 
 def _berlekamp_massey(seq) -> list[Fraction]:
     """Connection polynomial C (C[0] = 1) of the shortest linear feedback
@@ -393,17 +312,18 @@ def _berlekamp_massey(seq) -> list[Fraction]:
     return list(_trim(c))
 
 
-def fit_recurrence(seq, max_order: int, max_offset: int) -> LinearRecurrence | None:
-    """Guess the lowest-order exact recurrence satisfied by ``seq``.
+def fit_recurrence(seq, max_order: int, max_offset: int) -> RationalGF | None:
+    """Guess the rational generating function of lowest order whose
+    coefficients a_1, a_2, ... are ``seq`` (and a_0 = 0).
 
     One Berlekamp-Massey pass over all terms gives the connection
-    polynomial C; the order is deg C, the coefficients are -C[1:], and
-    valid_from is one past the last index where the relation, read with
-    a_k = 0 for k <= 0, fails.  The fit is accepted only when the order is
-    at most max_order, valid_from is at most 1 + max_offset, and the
-    indices from valid_from up to the last two terms still give ``order``
-    equations: the last two are spare, a held-out tail that must agree
-    too.  Returns None when nothing fits.
+    polynomial C, the denominator.  The numerator P is the series times C,
+    cut below valid_from: one past the last index where the relation, read
+    with a_k = 0 for k <= 0, fails.  The fit is accepted only when the
+    order deg C is at most max_order, valid_from is at most 1 + max_offset,
+    and the indices from valid_from up to the last two terms still give
+    ``order`` equations: the last two are spare, a held-out tail that must
+    agree too.  Returns P/C, reduced, or None when nothing fits.
 
     Berlekamp-Massey returns the shortest register, which is only pinned
     down by the data once it holds at least twice the register's length
@@ -419,25 +339,31 @@ def fit_recurrence(seq, max_order: int, max_offset: int) -> LinearRecurrence | N
     order = len(c) - 1
     if not 1 <= order <= max_order:
         return None
-    failing = [j for j in range(L)
-               if sum(c[i] * seq[j - i] for i in range(min(order, j) + 1)) != 0]
-    valid_from = failing[-1] + 2 if failing else 1
+    # coefficient of x^(j+1) in (a_1 x + a_2 x^2 + ...) * C, for j < L
+    p = _trim([0] + [sum(c[i] * seq[j - i] for i in range(min(order, j) + 1))
+                     for j in range(L)])
+    valid_from = max(1, len(p))
     if valid_from > 1 + max_offset or (L - 2) - valid_from + 1 < order:
         return None
-    rec = LinearRecurrence(tuple(-x for x in c[1:]), valid_from, tuple(seq[:valid_from - 1]))
-    return rec if verify_recurrence(seq, rec) else None
+    scale = lcm(*(Fraction(x).denominator for x in (*p, *c)))
+    gf = RationalGF([int(x * scale) for x in p], [int(x * scale) for x in c])
+    return gf if series_coeffs(gf, L + 1)[1:] == list(seq) else None
 
 
 # ---------------------------------------------------------------------------
 # characteristic roots
 
-def dominant_root(rec, tolerance: float = 1e-12) -> float:
+_NEWTON_STOP = 1e-14
+
+
+def dominant_root(rec) -> float:
     """Largest positive real root of x^d - c_1 x^(d-1) - ... - c_d.
 
-    Accepts a LinearRecurrence or a bare coefficient sequence.  The root
-    must be the unique characteristic root of maximal modulus; otherwise
-    NoDominantRoot is raised.  Located via the companion matrix, then
-    polished by Newton steps well past ``tolerance``.
+    Accepts a RationalGF, read through its ``coefficients``, or a bare
+    coefficient sequence c_1 .. c_d.  The root must be the unique
+    characteristic root of maximal modulus; otherwise NoDominantRoot is
+    raised.  Located via the companion matrix, then polished by Newton
+    steps until a step falls below _NEWTON_STOP relative to the root.
     """
     import numpy  # a tenth of a second to import; only root finding needs it
 
@@ -477,6 +403,6 @@ def dominant_root(rec, tolerance: float = 1e-12) -> float:
             break
         step = f(x) / d
         x -= step
-        if abs(step) < min(tolerance, 1e-14) * max(1.0, abs(x)):
+        if abs(step) < _NEWTON_STOP * max(1.0, abs(x)):
             break
     return x

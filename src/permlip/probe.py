@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .genfunc import LinearRecurrence, NoDominantRoot, dominant_root, fit_recurrence
+from .genfunc import NoDominantRoot, RationalGF, dominant_root, fit_recurrence
 from .transfer import count
 
 __all__ = [
@@ -38,16 +38,18 @@ METHOD_RATIO = "ratio-extrapolation"
 class GrowthProfile:
     """Everything measured about one jump bound.
 
-    ``alpha_estimate`` comes from the fitted recurrence's dominant root
-    when a recurrence was found and has one (method "fitted-root"), else
-    from the last term ratio, a low-confidence fallback (method
-    "ratio-extrapolation").
+    ``fitted`` is the rational generating function guessed from the terms
+    (``fit_recurrence``), or None when none fits; its ``order``,
+    ``coefficients`` and ``valid_from`` give the recurrence.
+    ``alpha_estimate`` comes from the dominant root of its denominator when
+    a fit was found and has one (method "fitted-root"), else from the last
+    term ratio, a low-confidence fallback (method "ratio-extrapolation").
     """
 
     m: int
     n_max: int
     terms: tuple[int, ...]
-    fitted: LinearRecurrence | None
+    fitted: RationalGF | None
     alpha_estimate: float | None
     estimate_method: str | None
 

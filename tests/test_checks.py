@@ -37,6 +37,14 @@ def test_max_position_respects_requested_bound():
     assert {name.split("m=")[1] for name, _, _ in swept} == {"1", "2", "3", "4"}
 
 
+@pytest.mark.parametrize("name", sorted(set(SUITES) - set(checks.BOUNDED)))
+def test_m2_suites_refuse_other_bounds(name):
+    for m in (1, 3, 7):
+        with pytest.raises(ValueError, match="m = 2 only"):
+            run_suite(name, 6, m)
+    assert run_suite(name, 4, 2) == run_suite(name, 4, None)
+
+
 def test_failure_channel_reports(monkeypatch):
     # sabotage the closed-form count; the suite must notice, not crash
     monkeypatch.setattr(checks.m2, "max_last_count", lambda n: n)

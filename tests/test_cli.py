@@ -198,6 +198,16 @@ def test_verify_all_suites_quick(capsys):
         assert "FAIL" not in out
 
 
+def test_verify_bound_on_m2_suite_is_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "verify", "--suite", "split", "-N", "6", "-m", "7")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "max-position" in err and "transfer" in err
+    for suite in ("max-position", "transfer"):
+        rc, out, _ = run_cli(capsys, "verify", "--suite", suite, "-N", "6", "-m", "3")
+        assert rc == 0 and out and "FAIL" not in out
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     import permlip.cli as cli
     monkeypatch.setattr(cli.checks, "run_suite",
@@ -239,6 +249,24 @@ def test_probe_json_schema(capsys):
     assert data["fitted"]["coefficients"] == [3, -3, 2, -2, 1]
     assert data["method"] == "fitted-root"
     assert data["alpha_estimate"] == pytest.approx(1.4655712318767682, abs=1e-9)
+
+
+@pytest.mark.parametrize("m, n_max, expected", [
+    (1, 10,
+     '{"m": 1, "n_max": 10, "terms": ["1", "2", "2", "2", "2", "2", "2", "2", "2", "2"], '
+     '"fitted": {"order": 1, "coefficients": [1], "valid_from": 3}, '
+     '"alpha_estimate": 1.0, "method": "fitted-root"}\n'),
+    (2, 14,
+     '{"m": 2, "n_max": 14, "terms": ["1", "2", "5", "8", "12", "18", "26", "37", "53", '
+     '"76", "109", "157", "227", "329"], '
+     '"fitted": {"order": 5, "coefficients": [3, -3, 2, -2, 1], "valid_from": 7}, '
+     '"alpha_estimate": 1.4655712318767673, "method": "fitted-root"}\n'),
+])
+def test_probe_fitted_output_is_pinned(capsys, m, n_max, expected):
+    """The fitted block, valid_from included, byte for byte."""
+    rc, out, err = run_cli(capsys, "probe", "-m", str(m), "-N", str(n_max))
+    assert rc == 0 and err == ""
+    assert out == expected
 
 
 def test_probe_ratio_fallback(capsys):

@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from permlip.genfunc import (
     InsufficientData,
-    LinearRecurrence,
     NoDominantRoot,
     RationalGF,
     dominant_root,
@@ -16,17 +15,14 @@ from permlip.genfunc import (
     gf_m2,
     gf_max_first,
     gf_mul,
-    gf_to_recurrence,
     nth_coeff,
     poly_add,
     poly_eval,
     poly_gcd,
     poly_mul,
     poly_sub,
-    recurrence_stream,
-    recurrence_terms,
     series_coeffs,
-    verify_recurrence,
+    series_stream,
 )
 from permlip.m2 import class_count
 
@@ -36,6 +32,15 @@ GF_M1 = RationalGF((0, 1, 1), (1, -1))  # bound 1: 1, 2, 2, 2, ...
 
 def class_terms(n_max):
     return [class_count(n) for n in range(1, n_max + 1)]
+
+
+def relation_holds_from(gf, seq, start):
+    """a_n = sum_i c_i a_{n-i} at every n from start to len(seq), with the
+    gf's coefficients, seq[0] = a_1 and a_k read as 0 for k <= 0."""
+    def predicted(n):
+        return sum(c * seq[n - i - 1] for i, c in enumerate(gf.coefficients, start=1)
+                   if n - i >= 1)
+    return all(predicted(n) == seq[n - 1] for n in range(start, len(seq) + 1))
 
 
 def test_poly_ring_examples():
@@ -148,71 +153,73 @@ def test_series_matches_closed_form_deep():
 
 
 def test_recurrence_type_validation():
-    with pytest.raises(ValueError):
-        LinearRecurrence((), 1)
-    with pytest.raises(ValueError):
-        LinearRecurrence((1, 0), 3, (1, 1))      # top coefficient zero
-    with pytest.raises(ValueError):
-        LinearRecurrence((1,), 0)
-    with pytest.raises(ValueError):
-        LinearRecurrence((1,), 3, (1,))          # initial terms length off
-    rec = LinearRecurrence((1, 1), 3, (1, 1))
-    assert rec.order == 2
-    assert rec.coefficients == (Fraction(1), Fraction(1))
+    fib = RationalGF((0, 1), (1, -1, -1))
+    assert fib.order == 2
+    assert fib.coefficients == (Fraction(1), Fraction(1))
+    assert all(type(c) is Fraction for c in fib.coefficients)
+    assert RationalGF((1,), (2, -1)).coefficients == (Fraction(1, 2),)
+    for name in ("order", "coefficients", "valid_from"):
+        with pytest.raises(AttributeError):
+            setattr(fib, name, 1)                # read-only
 
 
 def test_gf_to_recurrence_examples():
-    rec = gf_to_recurrence(gf_m2())
-    assert tuple(rec.coefficients) == CLASS_COEFFS
-    assert rec.order == 5
-    assert rec.valid_from == 7
-    assert rec.initial_terms == (1, 2, 5, 8, 12, 18)
+    A = gf_m2()
+    assert A.coefficients == CLASS_COEFFS
+    assert A.order == 5
+    assert A.valid_from == 7
+    assert series_coeffs(A, 7)[1:] == [1, 2, 5, 8, 12, 18]
 
-    geo = gf_to_recurrence(RationalGF((1,), (1, -1)))
-    assert tuple(geo.coefficients) == (1,)
+    geo = RationalGF((1,), (1, -1))
+    assert geo.coefficients == (1,)
     assert geo.order == 1 and geo.valid_from == 2
 
-    recB = gf_to_recurrence(gf_max_first())
-    assert tuple(recB.coefficients) == (2, -1, 1, -1)
-    assert recB.order == 4 and recB.valid_from == 4
+    B = gf_max_first()
+    assert B.coefficients == (2, -1, 1, -1)
+    assert B.order == 4 and B.valid_from == 4
 
-    with pytest.raises(ValueError):
-        gf_to_recurrence(RationalGF((1, 1), (2,)))  # constant denominator
+    poly = RationalGF((1, 1), (2,))              # constant denominator: no relation
+    assert poly.order == 0 and poly.coefficients == ()
 
 
 def test_verify_recurrence():
-    rec = gf_to_recurrence(gf_m2())
-    assert verify_recurrence(class_terms(12), rec) is True
-    assert verify_recurrence(class_terms(300), rec) is True
-    shifted = LinearRecurrence(CLASS_COEFFS, 5, (1, 2, 5, 8))
+    A = gf_m2()
+    assert relation_holds_from(A, class_terms(12), A.valid_from)
+    assert relation_holds_from(A, class_terms(300), A.valid_from)
+    assert series_coeffs(A, 301)[1:] == class_terms(300)
+    # the same relation started at index 5 from the first four class counts
+    Q = A.denominator
+    shifted = RationalGF(poly_mul((0, 1, 2, 5, 8), Q)[:5], Q)
+    assert shifted.coefficients == CLASS_COEFFS and shifted.valid_from == 5
     # at index 5 the shifted relation predicts 11, the class count is 12
-    assert verify_recurrence(class_terms(12), shifted) is False
-    with pytest.raises(ValueError):
-        verify_recurrence(class_terms(8), rec)   # too short to reach valid_from+order
+    assert series_coeffs(shifted, 13)[1:5] == [1, 2, 5, 8]
+    assert series_coeffs(shifted, 6)[5] == 11
+    assert not relation_holds_from(shifted, class_terms(12), shifted.valid_from)
 
 
 def test_recurrence_terms_regenerates():
-    rec = gf_to_recurrence(gf_m2())
-    assert recurrence_terms(rec, 12) == class_terms(12)
-    geo = gf_to_recurrence(RationalGF((1,), (1, -1)))
-    assert recurrence_terms(geo, 5) == [1, 1, 1, 1, 1]
+    assert series_coeffs(gf_m2(), 13)[1:] == class_terms(12)
+    assert list(islice(series_stream(gf_m2()), 13)) == series_coeffs(gf_m2(), 13)
+    assert series_coeffs(RationalGF((1,), (1, -1)), 6)[1:] == [1, 1, 1, 1, 1]
 
 
 def test_fit_recovers_class_recurrence():
     fit = fit_recurrence(class_terms(20), 6, 7)
-    assert fit is not None
-    assert tuple(fit.coefficients) == CLASS_COEFFS
+    assert fit == gf_m2()
+    assert fit.coefficients == CLASS_COEFFS
     assert fit.order == 5 and fit.valid_from == 7
-    assert fit.initial_terms == (1, 2, 5, 8, 12, 18)
+    assert series_coeffs(fit, 7)[1:] == [1, 2, 5, 8, 12, 18]
 
 
 def test_fit_minimality_prefers_low_order():
     fit = fit_recurrence([2] * 8, 2, 2)
-    assert tuple(fit.coefficients) == (1,)
+    assert fit == RationalGF((0, 2), (1, -1))
+    assert fit.coefficients == (1,)
     assert fit.valid_from == 2
     fib = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
     fit = fit_recurrence(fib, 4, 4)
-    assert tuple(fit.coefficients) == (1, 1)
+    assert fit == RationalGF((0, 1), (1, -1, -1))
+    assert fit.coefficients == (1, 1)
     # the padded zero below index 1 doubles as the natural 0th term here
     assert fit.valid_from == 2
 
@@ -233,28 +240,28 @@ def test_fit_then_verify_far_beyond_window():
     terms = class_terms(200)
     fit = fit_recurrence(terms[:25], 6, 7)
     assert fit is not None
-    assert verify_recurrence(terms, fit) is True
+    assert series_coeffs(fit, 201)[1:] == terms
 
 
 @settings(max_examples=40)
 @given(
-    st.integers(1, 3).flatmap(
-        lambda d: st.tuples(
-            st.tuples(*[st.integers(-3, 3) for _ in range(d - 1)],
-                      st.integers(1, 3)),
-            st.lists(st.integers(-4, 4), min_size=d, max_size=d),
-        )
-    )
+    st.integers(-3, 3).filter(bool),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=4),
 )
-def test_fit_round_trip(data):
-    coeffs, initial = data
-    source = LinearRecurrence(coeffs, len(coeffs) + 1, tuple(initial))
-    terms = recurrence_terms(source, 3 * len(coeffs) + 8)
-    assume(any(t != 0 for t in terms))
-    fit = fit_recurrence(terms, max_order=len(coeffs) + 1, max_offset=len(coeffs) + 2)
-    assert fit is not None
-    assert fit.order <= source.order
-    assert verify_recurrence(terms, fit) is True
+@example(1, [-3, 3, -2, 2, -1], [1, -1, 2, -3, 1, -1])  # gf_m2
+@example(2, [-1], [8])                                    # 4, 2, 1, 1/2, ...
+def test_fit_round_trip(q0, den_tail, num_tail):
+    """A random reduced RationalGF with a_0 = 0 comes back from twice its
+    span in terms, and two more."""
+    source = RationalGF((0, *num_tail), (q0, *den_tail))
+    assume(source.order >= 1)
+    span = max(len(source.numerator), len(source.denominator)) - 1
+    terms = series_coeffs(source, 2 * span + 3)[1:]
+    fit = fit_recurrence(terms, max_order=source.order, max_offset=span)
+    assert fit == source
+    more = len(terms) + 51
+    assert series_coeffs(fit, more) == series_coeffs(source, more)
 
 
 @settings(max_examples=60)
@@ -277,21 +284,23 @@ def test_fit_reads_the_denominator_of_a_rational_gf(q0, den_tail, num):
     assert fit is not None
     assert fit.order == len(q) - 1
     assert fit.coefficients == tuple(Fraction(-qi, q[0]) for qi in q[1:])
-    assert fit == gf_to_recurrence(gf)
+    assert fit.valid_from == gf.valid_from
+    # the fit reads a_0 as 0: it is gf less its constant term p_0 / q_0
+    assert fit == gf_add(gf, RationalGF((-gf.numerator[0],), (q[0],)))
 
 
 def test_recurrence_stream_keeps_ints_and_fractions():
-    rec = gf_to_recurrence(gf_m2())
-    head = list(islice(recurrence_stream(rec), 300))
+    head = list(islice(series_stream(gf_m2()), 301))[1:]
     assert head == class_terms(300)
     assert all(type(t) is int for t in head)
-    halves = LinearRecurrence((Fraction(1, 2),), 2, (4,))
-    terms = recurrence_terms(halves, 4)
+    halves = RationalGF((0, 8), (2, -1))         # a_1 = 4, a_n = a_{n-1} / 2
+    assert halves.coefficients == (Fraction(1, 2),) and halves.valid_from == 2
+    terms = series_coeffs(halves, 5)[1:]
     assert terms == [4, 2, 1, Fraction(1, 2)]
     assert [type(t) for t in terms] == [int, int, int, Fraction]
-    assert recurrence_terms(halves, 0) == []
+    assert series_coeffs(halves, 0) == []
     with pytest.raises(ValueError):
-        recurrence_terms(halves, -1)
+        series_coeffs(halves, -1)
 
 
 @settings(max_examples=30)
@@ -306,14 +315,14 @@ def test_gf_recurrence_round_trip(den_tail, num):
     gf = RationalGF(tuple(num), den)
     if len(gf.denominator) < 2:
         return
-    rec = gf_to_recurrence(gf)
-    seq = series_coeffs(gf, rec.valid_from + rec.order + 10)[1:]
-    assert verify_recurrence(seq, rec) is True
+    seq = series_coeffs(gf, gf.valid_from + gf.order + 10)[1:]
+    assert relation_holds_from(gf, seq, gf.valid_from)
+    if gf.valid_from > 1:                        # and not from one index earlier
+        assert not relation_holds_from(gf, seq, gf.valid_from - 1)
 
 
 def test_dominant_root_examples():
-    rec = gf_to_recurrence(gf_m2())
-    assert abs(dominant_root(rec) - 1.4655712318767680) < 1e-11
+    assert abs(dominant_root(gf_m2()) - 1.4655712318767680) < 1e-11
     assert dominant_root([Fraction(1)]) == pytest.approx(1.0, abs=1e-12)
     golden = (1 + math.sqrt(5)) / 2
     assert abs(dominant_root([1, 1]) - golden) < 1e-12
