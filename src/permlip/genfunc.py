@@ -10,7 +10,10 @@ so a relation may validly start at an index at or below its order when the
 early terms happen to extend by zeros.  ``fit_recurrence`` guesses that
 function from terms a_1, a_2, ... and returns it with a_0 = 0.
 
-All arithmetic except root finding is exact (Python ints and Fractions).
+All arithmetic except root finding is exact, in Python ints.  A Fraction
+appears only for a value that is rational: a coefficient -q_i/q_0, a
+series coefficient that q_0 does not divide, or a Fraction-valued series
+given to ``fit_recurrence``, which scales it to integers once.
 """
 
 from __future__ import annotations
@@ -92,58 +95,53 @@ def poly_eval(a, x):
     return acc
 
 
-def _frac_divmod(a: list[Fraction], b: list[Fraction]):
-    rem = list(a)
-    quot = [Fraction(0)] * max(1, len(rem) - len(b) + 1)
-    while len(rem) >= len(b) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(b):
-            break
-        shift = len(rem) - len(b)
-        factor = rem[-1] / b[-1]
-        quot[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _primitive(fracs: list[Fraction]) -> tuple[int, ...]:
-    if not fracs:
+def _primitive(a) -> tuple[int, ...]:
+    """``a`` divided by its content, signed so the leading coefficient is
+    positive; the zero polynomial stays ()."""
+    a = _trim(a)
+    if not a:
         return ()
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    content = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return tuple(c // content for c in a)
+
+
+def _pseudo_rem(a, b) -> tuple[int, ...]:
+    """Pseudo-remainder of ``a`` by nonzero ``b``: the remainder of
+    lc(b)^(deg a - deg b + 1) * a, so no step divides."""
+    rem, lead = list(a), b[-1]
+    while len(rem) >= len(b):
+        factor, shift = rem.pop(), len(rem) + 1 - len(b)
+        rem = [lead * c for c in rem]
+        for i, c in enumerate(b[:-1]):
+            rem[shift + i] -= factor * c
+    return _trim(rem)
 
 
 def poly_gcd(a, b) -> tuple[int, ...]:
-    """Primitive greatest common divisor with positive leading coefficient."""
-    fa = [Fraction(c) for c in _trim(a)]
-    fb = [Fraction(c) for c in _trim(b)]
-    while fb:
-        _, rem = _frac_divmod(fa, fb)
-        fa, fb = fb, rem
-    return _primitive(fa)
+    """Primitive greatest common divisor with positive leading coefficient,
+    by Brown's primitive remainder sequence (J. ACM 1971): Euclid on
+    pseudo-remainders, each cut to its primitive part, all in integers."""
+    a, b = _trim(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return _primitive(a)
 
 
 def _poly_divexact(a, g) -> tuple[int, ...]:
-    quot, rem = _frac_divmod([Fraction(c) for c in a], [Fraction(c) for c in g])
-    if rem:
+    """a / g by integer long division, for a nonzero g that divides a with
+    an integral quotient; raises ValueError otherwise."""
+    rem = list(_trim(a))
+    quot = [0] * max(0, len(rem) - len(g) + 1)
+    for shift in reversed(range(len(quot))):
+        q, r = divmod(rem[shift + len(g) - 1], g[-1])
+        if r:
+            raise ValueError("quotient is not integral")
+        quot[shift] = q
+        for i, c in enumerate(g):
+            rem[shift + i] -= q * c
+    if any(rem):
         raise ValueError("not an exact polynomial division")
-    if any(f.denominator != 1 for f in quot):
-        raise ValueError("quotient is not integral")
-    return _trim(int(f) for f in quot)
+    return tuple(quot)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +169,7 @@ class RationalGF:
             g = poly_gcd(num, den)
             if len(g) > 1:
                 num, den = _poly_divexact(num, g), _poly_divexact(den, g)
-            content = 0
-            for c in (*num, *den):
-                content = gcd(content, c)
+            content = gcd(*num, *den)
             num = tuple(c // content for c in num)
             den = tuple(c // content for c in den)
         if den[0] < 0:
@@ -288,28 +284,29 @@ def nth_coeff(gf: RationalGF, n: int) -> int | Fraction:
 # ---------------------------------------------------------------------------
 # recurrence guessing
 
-def _berlekamp_massey(seq) -> list[Fraction]:
-    """Connection polynomial C (C[0] = 1) of the shortest linear feedback
-    shift register generating ``seq``, by Berlekamp-Massey over the
-    rationals (Massey, IEEE Trans. Inf. Theory 1969): every term from
-    index deg C on satisfies sum_i C[i] * seq[j - i] = 0."""
-    c, prev = [Fraction(1)], [Fraction(1)]
-    span, gap, prev_d = 0, 1, Fraction(1)
+def _berlekamp_massey(seq) -> tuple[int, ...]:
+    """Connection polynomial C (C[0] != 0) of the shortest linear feedback
+    shift register generating the integers ``seq``: every term from index
+    deg C on satisfies sum_i C[i] * seq[j - i] = 0.  Berlekamp-Massey
+    (Massey, IEEE Trans. Inf. Theory 1969), fraction-free: the update is
+    C <- d_prev * C - d * x^gap * C_prev, then C is made primitive."""
+    c, prev = (1,), (1,)
+    span, gap, prev_d = 0, 1, 1
     for j in range(len(seq)):
         d = sum(c[i] * seq[j - i] for i in range(min(len(c), j + 1)))
         if d == 0:
             gap += 1
             continue
         old = c
-        c = c + [Fraction(0)] * (len(prev) + gap - len(c))
-        factor = d / prev_d
+        c = [prev_d * x for x in c] + [0] * (len(prev) + gap - len(c))
         for i, x in enumerate(prev):
-            c[i + gap] -= factor * x
+            c[i + gap] -= d * x
+        c = _primitive(c)
         if 2 * span <= j:
             span, prev, prev_d, gap = j + 1 - span, old, d, 1
         else:
             gap += 1
-    return list(_trim(c))
+    return c
 
 
 def fit_recurrence(seq, max_order: int, max_offset: int) -> RationalGF | None:
@@ -335,18 +332,19 @@ def fit_recurrence(seq, max_order: int, max_offset: int) -> RationalGF | None:
     L = len(seq)
     if L < 4:
         raise InsufficientData(f"need at least 4 terms, got {L}")
-    c = _berlekamp_massey(seq)
+    scale = lcm(*(Fraction(x).denominator for x in seq))  # 1 for integer terms
+    ints = [int(x * scale) for x in seq]
+    c = _berlekamp_massey(ints)
     order = len(c) - 1
     if not 1 <= order <= max_order:
         return None
     # coefficient of x^(j+1) in (a_1 x + a_2 x^2 + ...) * C, for j < L
-    p = _trim([0] + [sum(c[i] * seq[j - i] for i in range(min(order, j) + 1))
+    p = _trim([0] + [sum(c[i] * ints[j - i] for i in range(min(order, j) + 1))
                      for j in range(L)])
     valid_from = max(1, len(p))
     if valid_from > 1 + max_offset or (L - 2) - valid_from + 1 < order:
         return None
-    scale = lcm(*(Fraction(x).denominator for x in (*p, *c)))
-    gf = RationalGF([int(x * scale) for x in p], [int(x * scale) for x in c])
+    gf = RationalGF(p, [scale * x for x in c])
     return gf if series_coeffs(gf, L + 1)[1:] == list(seq) else None
 
 

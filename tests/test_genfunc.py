@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -9,6 +11,8 @@ from permlip.genfunc import (
     InsufficientData,
     NoDominantRoot,
     RationalGF,
+    _poly_divexact,
+    _primitive,
     dominant_root,
     fit_recurrence,
     gf_add,
@@ -70,6 +74,34 @@ def test_poly_gcd_basics():
     assert poly_gcd((0, 1), (1, -1)) == (1,)
     assert poly_gcd((2, 2), (4, 4)) == (1, 1)
     assert poly_gcd((), (1, 2)) == (1, 2)
+
+
+# nonzero, without trailing zeros
+nonzero_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=6).filter(
+    lambda a: a[-1] != 0).map(tuple)
+
+
+@settings(max_examples=200)
+@given(nonzero_polys, nonzero_polys, small_polys)
+@example((-2, 4), (0, 3), ())                    # content and sign of g
+@example((1, -1), (1, -1), (1, 1))               # u * w + 1 = 2 - x^2
+def test_poly_gcd_recovers_a_planted_factor(g, u, w):
+    """u and u * w + 1 are coprime, so the gcd of g * u and g * (u * w + 1)
+    is g made primitive: an answer known without running any Euclid."""
+    assert poly_gcd(poly_mul(g, u), poly_mul(g, poly_add(poly_mul(u, w), (1,)))) == _primitive(g)
+    assert _poly_divexact(poly_mul(g, u), g) == u
+
+
+def test_primitive_and_exact_division():
+    assert _primitive((4, -6, -2)) == (-2, 3, 1)
+    assert _primitive((0, 0)) == _primitive(()) == ()
+    assert _poly_divexact((), (1, 1)) == ()
+    with pytest.raises(ValueError, match="not an exact polynomial division"):
+        _poly_divexact((1, 1), (-1, 1))          # 1 + x = (x - 1) + 2
+    with pytest.raises(ValueError, match="not an exact polynomial division"):
+        _poly_divexact((1,), (1, 1))
+    with pytest.raises(ValueError, match="quotient is not integral"):
+        _poly_divexact((1,), (2,))
 
 
 def test_gf_normalization():
@@ -241,6 +273,23 @@ def test_fit_then_verify_far_beyond_window():
     fit = fit_recurrence(terms[:25], 6, 7)
     assert fit is not None
     assert series_coeffs(fit, 201)[1:] == terms
+
+
+def test_fit_high_order_within_a_second():
+    """Order 91: denominator prod_{k <= 13} (1 - x^k), a dense numerator,
+    twice the order in terms and four more."""
+    den = (1,)
+    for k in range(1, 14):
+        den = poly_mul(den, (1,) + (0,) * (k - 1) + (-1,))
+    rng = random.Random(1)
+    source = RationalGF((0, *(rng.randint(-3, 3) for _ in range(89)), 1), den)
+    assert source.order == 91
+    terms = series_coeffs(source, 187)[1:]
+    start = time.perf_counter()
+    fit = fit_recurrence(terms, 100, 100)
+    elapsed = time.perf_counter() - start
+    assert fit == source
+    assert elapsed < 1.0, f"order-91 fit took {elapsed:.2f} s"
 
 
 @settings(max_examples=40)

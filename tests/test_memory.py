@@ -1,9 +1,10 @@
-"""Memory bounds of the exact engines and of ``seq``.
+"""Memory bounds of the exact engines, of ``seq`` and of ``verify --suite gf``.
 
 The engines keep a sliding window of the last few terms and nothing
 between calls, so a count at any length holds O(1) big integers, and
-``seq`` writes each term as it comes.  The CLI
-checks run in a child interpreter that reports its own peak resident set.
+``seq`` writes, and ``verify --suite gf`` checks, each term as it comes.
+The CLI checks run in a child interpreter that reports its own peak
+resident set.
 """
 
 import math
@@ -61,6 +62,13 @@ def test_seq_streams_in_bounded_memory():
     # 133 MB of digits: written as the terms come, never held whole
     _, rss_mb = run_child("seq", "-m", "2", "-N", "40000", stdout=subprocess.DEVNULL)
     assert rss_mb < RSS_LIMIT_MB, f"seq -N 40000 peaked at {rss_mb:.0f} MB"
+
+
+def test_verify_gf_streams_in_bounded_memory():
+    # the three term streams are compared one term at a time, never listed
+    out, rss_mb = run_child("verify", "--suite", "gf", "-N", "40000")
+    assert "FAIL" not in out and out.count("PASS") == 5
+    assert rss_mb < RSS_LIMIT_MB, f"verify --suite gf -N 40000 peaked at {rss_mb:.0f} MB"
 
 
 def test_recurrence_routes_hold_a_window():
