@@ -1,6 +1,7 @@
 """132-avoiding permutations under a bounded adjacent-jump constraint.
 
-Exact enumeration by brute force and by transfer matrices, closed-form
+Exact enumeration by brute force, by transfer matrices, and by the split
+at the maximum (every bound, polynomial time per length), closed-form
 structure for jump bound 2, rational generating functions with recurrence
 guessing, growth constants, and an empirical probe for larger bounds.
 """

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .core import split_at_max
-from . import asymptotics, bruteforce, genfunc, m2, transfer
+from . import asymptotics, bruteforce, genfunc, m2, split, transfer
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -43,13 +43,17 @@ def suite_max_position(n_max: int, m: int | None = None) -> list[Result]:
 
 
 def suite_transfer(n_max: int, m: int | None = None) -> list[Result]:
-    """The transfer-matrix counter agrees with the brute-force oracle."""
+    """The transfer-matrix counter and the decomposition engine each agree
+    with the brute-force oracle."""
     out = []
     for bound in [m] if m is not None else [1, 2, 3, 4]:
         for n in range(1, n_max + 1):
-            engine, oracle = transfer.count(n, bound), bruteforce.count(n, bound)
-            out.append(_check(f"count n={n} m={bound}", engine == oracle,
-                              f"transfer {engine}, oracle {oracle}"))
+            oracle = bruteforce.count(n, bound)
+            wrong = [f"{name} {value}" for name, value in
+                     (("transfer", transfer.count(n, bound)), ("split", split.count(n, bound)))
+                     if value != oracle]
+            out.append(_check(f"count n={n} m={bound}", not wrong,
+                              f"{', '.join(wrong)}, oracle {oracle}"))
     return out
 
 

@@ -15,7 +15,7 @@ import itertools
 import json
 import sys
 
-from . import asymptotics, bruteforce, checks, genfunc, m2, probe, transfer
+from . import asymptotics, bruteforce, checks, genfunc, m2, probe, split, transfer
 
 __all__ = ["main", "format_bfile", "parse_bfile"]
 
@@ -95,9 +95,11 @@ def _cmd_seq(args) -> int:
     m, n_max, out = args.m, args.n_max, sys.stdout
     route = _ROUTES.get((_regime(n_max, m), "terms"))
     if route is not None:
-        terms = itertools.islice(route(), n_max)  # streamed: a few terms in memory at once
-    else:  # the search refuses past its ceiling before anything is written
-        terms = [transfer.count(n, m) for n in range(1, n_max + 1)]
+        terms = route()
+    else:  # the decomposition engine, held to the search ceiling before anything is written
+        bruteforce._check_args(n_max, m, None)
+        terms = split.counts(m)
+    terms = itertools.islice(terms, n_max)  # streamed: a few terms in memory at once
     if args.format == "json":
         out.write(f'{{"m": {m}, "n_max": {n_max}, "terms": [')
         for n, t in enumerate(terms):

@@ -1,7 +1,7 @@
 """Empirical growth profiling across jump bounds.
 
 For jump bounds beyond 2 no exact theory ships here; instead this module
-gathers exact counts from the transfer-matrix counter (``transfer.count``),
+gathers exact counts from the decomposition engine (``split.count``),
 tries to guess a constant-coefficient linear recurrence from them, and
 extracts a growth-rate estimate.  Two working hypotheses guide what gets
 measured but are never hard-asserted: each bound may admit such a
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .genfunc import NoDominantRoot, RationalGF, dominant_root, fit_recurrence
-from .transfer import count
+from .split import count
 
 __all__ = [
     "GrowthProfile",
@@ -57,9 +57,9 @@ class GrowthProfile:
 def build_profile(m: int, n_max: int, ceiling: int | None = None) -> GrowthProfile:
     """Count lengths 1..n_max at bound m and guess the growth.
 
-    The counts come from ``transfer.count``, which refuses lengths above
+    The counts come from ``split.count``, which refuses lengths above
     the brute-force ceiling (``ceiling``, else ``PERMLIP_CEILING``, else
-    14) with ``CeilingExceeded``.
+    14) with ``CeilingExceeded``, as the search engines do.
     """
     terms = tuple(count(n, m, ceiling) for n in range(1, n_max + 1))
     fitted = None
