@@ -11,15 +11,17 @@ directly here with no search:
 * max-first members satisfy the size recurrence
   count(n) = count(n - 1) + count(n - 3) + 1.
 
-Sizes come from streams that hold only a sliding window of the last few
-terms, so the n-th size costs O(n) big-integer additions and memory for
-O(1) of them; nothing is cached between calls.
+A single size is read off x^k mod the characteristic polynomial of a
+constant-coefficient recurrence (Fiduccia, SIAM J. Comput. 1985): O(log n)
+squarings of a polynomial of degree below 3 or 5, so the n-th size costs a
+few products of O(n)-digit integers.  The streams of all sizes hold only a
+sliding window of the last few terms and serve as independent checks on
+those readouts.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import islice
 
 from .core import in_class
 
@@ -42,9 +44,47 @@ __all__ = [
 ]
 
 
-def _nth(stream: Iterator[int], n: int) -> int:
-    """The n-th item (1-based) of an endless stream."""
-    return next(islice(stream, n - 1, None))
+# Recurrences as tail coefficients t: u(k) = t[0]u(k-1) + ... + t[d-1]u(k-d),
+# each with the first d terms of the sequence it is read from.
+_G_TAIL = (1, 0, 1)  # g(k) = f(k) + 1 = g(k-1) + g(k-3), from k = 4
+_G_START = (2, 2, 3)  # g(1), g(2), g(3)
+_A_TAIL = (3, -3, 2, -2, 1)  # the class sizes a(n), from n = 7
+_A_HEAD = (1, 2, 5, 8, 12, 18)  # a(1) .. a(6)
+
+
+def _x_pow_mod(k: int, tail: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients, lowest first, of x^k mod the monic polynomial
+    x^d - tail[0] x^(d-1) - ... - tail[d-1], by square-and-multiply over
+    the bits of k.
+
+    If u(j) = tail[0]u(j-1) + ... + tail[d-1]u(j-d) for every j >= s + d,
+    then u(s + k) = sum(c[i] * u(s + i)) for these coefficients c.
+    """
+    d = len(tail)
+
+    def reduced(p: list[int]) -> tuple[int, ...]:
+        for i in range(len(p) - 1, d - 1, -1):
+            if p[i]:
+                for j, t in enumerate(tail, 1):
+                    p[i - j] += t * p[i]
+        return tuple(p[:d])
+
+    c = (1,) + (0,) * (d - 1)
+    for bit in bin(k)[2:]:
+        sq = [0] * (2 * d - 1)
+        for i, ci in enumerate(c):
+            if ci:
+                sq[2 * i] += ci * ci
+                for j in range(i + 1, d):
+                    sq[i + j] += 2 * ci * c[j]
+        c = reduced(sq)
+        if bit == "1":
+            c = reduced([0, *c])
+    return c
+
+
+def _dot(c: tuple[int, ...], terms: tuple[int, ...]) -> int:
+    return sum(ci * t for ci, t in zip(c, terms))
 
 
 def odd_descent_perm(n: int, p: int) -> tuple[int, ...]:
@@ -106,10 +146,12 @@ def max_first_counts() -> Iterator[int]:
 
 
 def max_first_count(n: int) -> int:
-    """Number of max-first members, by the size recurrence."""
+    """Number of max-first members f(n), read off g(n) = f(n) + 1, which
+    obeys g(k) = g(k - 1) + g(k - 3): x^(n-1) mod x^3 - x^2 - 1 applied to
+    g(1..3) = 2, 2, 3."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _nth(max_first_counts(), n)
+    return _dot(_x_pow_mod(n - 1, _G_TAIL), _G_START) - 1
 
 
 def max_second_count(n: int) -> int:
@@ -133,17 +175,19 @@ def class_counts() -> Iterator[int]:
 
 
 def class_count(n: int) -> int:
-    """Total class size for jump bound 2, assembled from the three families.
+    """Total class size for jump bound 2, assembled from the three families:
+    f(n) + f(n - 2) + (n - 1).
 
-    One pass of :func:`max_first_counts` yields f(n - 2) and then f(n); only
-    the last size is summed, so the pass costs one addition per length.
+    One power x^(n-3) mod x^3 - x^2 - 1 gives both max-first sizes, applied
+    to g(1..3) for f(n - 2) and to g(3..5) = 3, 5, 7 for f(n), where
+    g = f + 1.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n <= 2:
         return n
-    family = islice(max_first_counts(), n - 3, None)
-    two_back, _, f_n = next(family), next(family), next(family)
+    c = _x_pow_mod(n - 3, _G_TAIL)
+    two_back, f_n = _dot(c, _G_START) - 1, _dot(c, (3, 5, 7)) - 1
     return f_n + two_back + (n - 1)
 
 
@@ -162,13 +206,17 @@ def class_counts_by_recurrence() -> Iterator[int]:
 
 
 def class_count_by_recurrence(n: int) -> int:
-    """Total class size via the order-5 constant-coefficient recurrence.
+    """Total class size via the order-5 constant-coefficient recurrence:
+    x^(n-2) mod x^5 - 3x^4 + 3x^3 - 2x^2 + 2x - 1 applied to a(2..6), the
+    relation holding from n = 7; a(1..6) are read from the table.
 
     Independent of :func:`class_count`; the two must agree everywhere.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _nth(class_counts_by_recurrence(), n)
+    if n <= len(_A_HEAD):
+        return _A_HEAD[n - 1]
+    return _dot(_x_pow_mod(n - 2, _A_TAIL), _A_HEAD[1:])
 
 
 def zigzag(n: int) -> tuple[int, ...]:

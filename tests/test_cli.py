@@ -1,12 +1,15 @@
 """Command line behavior: engine agreement, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import permlip
 from permlip.bruteforce import catalan
 from permlip.cli import format_bfile, main, parse_bfile
 
@@ -308,9 +311,13 @@ def test_probe_exits_one_when_counts_drop(capsys, monkeypatch):
 # ---------------------------------------------------------------- entry point
 
 def test_module_entry_point():
+    # the child interpreter does not see pytest's pythonpath setting
+    src = str(Path(permlip.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "permlip", "count", "-n", "6", "-m", "2",
          "--engine", "brute"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "18"

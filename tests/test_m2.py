@@ -1,11 +1,14 @@
+import time
 from itertools import islice
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from permlip import bruteforce
 from permlip.core import in_class
+from permlip.genfunc import gf_m2, nth_coeff
 from permlip.m2 import (
+    _x_pow_mod,
     class_count,
     class_count_by_recurrence,
     class_counts,
@@ -177,3 +180,40 @@ def test_family_sizes_assemble_total():
     for n in range(3, 13):
         sizes = bruteforce.m2_class_sizes(n)
         assert sizes == (max_first_count(n), max_second_count(n), max_last_count(n))
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=6).map(tuple), st.integers(0, 300))
+@example((2,), 0)
+@example((-3,), 300)
+@example((1, 0, 0), 7)
+@example((1, -2, 3, 0, 0, 0), 300)
+def test_x_pow_mod_reads_the_recurrence(tail, k):
+    # c[i] is the k-th term of the sequence started from the i-th unit window
+    c, d = _x_pow_mod(k, tail), len(tail)
+    assert len(c) == d
+    for i in range(d):
+        u = [int(j == i) for j in range(d)]
+        while len(u) <= k:
+            u.append(sum(t * u[-j] for j, t in enumerate(tail, 1)))
+        assert c[i] == u[k]
+
+
+def test_nth_term_routes_equal_one_pass_of_their_streams():
+    for fn, stream in ((class_count, class_counts()),
+                       (class_count_by_recurrence, class_counts_by_recurrence()),
+                       (max_first_count, max_first_counts())):
+        for n, term in enumerate(islice(stream, 2000), start=1):
+            assert fn(n) == term, (fn.__name__, n)
+
+
+@pytest.mark.parametrize("n", [10**4, 65537, 100003])
+def test_nth_term_routes_equal_the_series(n):
+    assert class_count(n) == class_count_by_recurrence(n) == nth_coeff(gf_m2(), n)
+
+
+@pytest.mark.parametrize("fn", [class_count, class_count_by_recurrence])
+def test_nth_term_routes_take_logarithmic_steps(fn):
+    start = time.perf_counter()
+    fn(200000)
+    # about 0.05 s by doubling; stepping through every term took 1-4 s
+    assert time.perf_counter() - start < 0.5

@@ -1,8 +1,9 @@
 """Memory bounds of the exact engines, of ``seq`` and of ``verify --suite gf``.
 
-The engines keep a sliding window of the last few terms and nothing
-between calls, so a count at any length holds O(1) big integers, and
-``seq`` writes, and ``verify --suite gf`` checks, each term as it comes.
+The n-th-term routes hold the few coefficients of one polynomial power,
+the term streams a sliding window of the last few terms, and neither keeps
+anything between calls, so a count at any length holds O(1) big integers,
+and ``seq`` writes, and ``verify --suite gf`` checks, each term as it comes.
 The CLI checks run in a child interpreter that reports its own peak
 resident set.
 """
