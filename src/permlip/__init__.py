@@ -20,7 +20,6 @@ from .bruteforce import (
     CeilingExceeded,
     catalan,
     count,
-    m2_class_sizes,
     max_position_census,
     members,
 )

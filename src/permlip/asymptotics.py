@@ -31,33 +31,28 @@ CSV_HEADER = "n,exact,asymptotic,rel_error"
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
+# residual bound on the root and on the constants derived from it
+_TOLERANCE = 1e-12
+
 
 def _poly(x: float) -> float:
     return 1.0 - x - x**3
 
 
-def dominant_singularity(tolerance: float = 1e-12) -> float:
+def dominant_singularity() -> float:
     """The unique positive root of 1 - x - x^3, in (0, 1).
 
-    Bisection brackets the root, Newton steps finish it off; the residual
-    is forced below ``tolerance`` (which must be positive and < 1e-6).
+    The cubic is decreasing and concave on [0, 1], so Newton steps from
+    x = 1 fall monotonically onto the root; the residual is forced below
+    ``_TOLERANCE``.
     """
-    if not 0 < tolerance < 1e-6:
-        raise ValueError(f"tolerance must lie in (0, 1e-6), got {tolerance}")
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if _poly(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(20):
+    x = 1.0
+    for _ in range(60):
         step = _poly(x) / (-1.0 - 3.0 * x * x)
         x -= step
         if abs(step) < 1e-16:
             break
-    if abs(_poly(x)) > tolerance:
+    if abs(_poly(x)) > _TOLERANCE:
         raise ArithmeticError(f"root refinement stalled at residual {_poly(x):.3g}")
     return x
 
@@ -74,20 +69,19 @@ class AsymptoticEstimate:
     rho: float
     alpha: float
     amplitude: float
-    tolerance: float
 
     def __post_init__(self):
-        if abs(_poly(self.rho)) > self.tolerance:
+        if abs(_poly(self.rho)) > _TOLERANCE:
             raise ValueError(f"rho={self.rho!r} is not a root of 1 - x - x^3")
-        if abs(self.alpha * self.rho - 1.0) > self.tolerance:
+        if abs(self.alpha * self.rho - 1.0) > _TOLERANCE:
             raise ValueError("alpha must be the reciprocal of rho")
-        if abs(self.alpha**3 - self.alpha**2 - 1.0) > 10.0 * self.tolerance:
+        if abs(self.alpha**3 - self.alpha**2 - 1.0) > 10.0 * _TOLERANCE:
             raise ValueError("alpha must satisfy alpha^3 = alpha^2 + 1")
 
 
-def estimate(tolerance: float = 1e-12) -> AsymptoticEstimate:
-    rho = dominant_singularity(tolerance)
-    return AsymptoticEstimate(rho, 1.0 / rho, amplitude(rho), tolerance)
+def estimate() -> AsymptoticEstimate:
+    rho = dominant_singularity()
+    return AsymptoticEstimate(rho, 1.0 / rho, amplitude(rho))
 
 
 def asymptotic_value(n: int, est: AsymptoticEstimate) -> float:

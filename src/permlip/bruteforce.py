@@ -6,8 +6,8 @@ routines stay valid as an independent oracle for the constructions and
 counts implemented elsewhere in the package.
 
 Work grows exponentially with n, so searches refuse to run above a
-ceiling: default 14, overridable per call or through the environment
-variable ``PERMLIP_CEILING``.
+ceiling: default 14, moved only through the environment variable
+``PERMLIP_CEILING``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "catalan_by_recurrence",
     "catalan_numbers",
     "count",
-    "m2_class_sizes",
     "max_position_census",
     "members",
 ]
@@ -56,12 +55,12 @@ def brute_force_ceiling() -> int:
     return value
 
 
-def _check_args(n: int, m: int, ceiling: int | None) -> None:
+def _check_args(n: int, m: int) -> None:
     if n < 1:
         raise ValueError(f"length must be a positive integer, got {n}")
     if m < 1:
         raise ValueError(f"jump bound must be a positive integer, got {m}")
-    limit = ceiling if ceiling is not None else brute_force_ceiling()
+    limit = brute_force_ceiling()
     if n > limit:
         raise CeilingExceeded(f"n={n} exceeds brute-force ceiling {limit}")
 
@@ -80,11 +79,11 @@ def _candidates(prefix: list[int], n: int, m: int, used: list[bool]):
             yield v
 
 
-def _walk(n: int, m: int, ceiling: int | None, visit=None) -> int:
+def _walk(n: int, m: int, visit=None) -> int:
     """Depth-first search over prefixes, extended only where the defining
     predicate allows; calls ``visit`` on each complete member, in
     lexicographic order, and returns how many there are."""
-    _check_args(n, m, ceiling)
+    _check_args(n, m)
     used = [False] * (n + 1)
     prefix: list[int] = []
 
@@ -106,19 +105,19 @@ def _walk(n: int, m: int, ceiling: int | None, visit=None) -> int:
     return walk()
 
 
-def count(n: int, m: int, ceiling: int | None = None) -> int:
+def count(n: int, m: int) -> int:
     """Number of length-n permutations avoiding 132 with all jumps <= m.
 
     Exact, by pruned search over prefixes.  Branches by first entry are
     independent, so totals merge by plain addition.
     """
-    return _walk(n, m, ceiling)
+    return _walk(n, m)
 
 
-def members(n: int, m: int, ceiling: int | None = None) -> list[tuple[int, ...]]:
+def members(n: int, m: int) -> list[tuple[int, ...]]:
     """All class members of length n in lexicographic order."""
     out: list[tuple[int, ...]] = []
-    _walk(n, m, ceiling, lambda prefix: out.append(tuple(prefix)))
+    _walk(n, m, lambda prefix: out.append(tuple(prefix)))
     return out
 
 
@@ -147,35 +146,15 @@ def catalan_by_recurrence(n: int) -> int:
     return next(islice(catalan_numbers(), n, None))
 
 
-def max_position_census(n: int, m: int, ceiling: int | None = None) -> dict[int, int]:
+def max_position_census(n: int, m: int) -> dict[int, int]:
     """Histogram of the 1-based position of the entry n across the class.
 
     Only positions that actually occur appear as keys, so the key set is
     the realized support.
     """
-    _check_args(n, m, ceiling)
     hist: dict[int, int] = {}
-    for word in members(n, m, ceiling):
+    for word in members(n, m):
         pos = word.index(n) + 1
         hist[pos] = hist.get(pos, 0) + 1
     return dict(sorted(hist.items()))
 
-
-def m2_class_sizes(n: int, ceiling: int | None = None) -> tuple[int, int, int]:
-    """Size of the jump-bound-2 class split by where the maximum sits.
-
-    Returns (max at position 1, max at position 2, max at final position),
-    measured directly from the enumeration.  Requires n >= 3: below that
-    the three positions are not distinct.
-    """
-    if n < 3:
-        raise ValueError(f"classification by maximum position needs n >= 3, got {n}")
-    first = second = last = 0
-    for word in members(n, 2, ceiling):
-        if word[0] == n:
-            first += 1
-        elif word[1] == n:
-            second += 1
-        elif word[-1] == n:
-            last += 1
-    return first, second, last

@@ -129,7 +129,8 @@ def suite_split(n_max: int) -> list[Result]:
     sizes assemble the total; left block dominates right block."""
     out = []
     for n in range(3, n_max + 1):
-        first, second, last = bruteforce.m2_class_sizes(n)
+        census = bruteforce.max_position_census(n, 2)
+        first, second, last = census.get(1, 0), census.get(2, 0), census.get(n, 0)
         total = bruteforce.count(n, 2)
         out.append(_check(f"totals n={n}", first + second + last == total,
                           f"{first}+{second}+{last} != {total}"))
@@ -209,12 +210,20 @@ SUITES = {
 # The suites that take a jump bound; every other one checks m = 2 only.
 BOUNDED = ("max-position", "transfer")
 
+# The smallest n_max at which a suite checks anything; the others start at 1.
+SMALLEST_N = {"max-last": 2, "max-second": 3, "split": 3}
+
 
 def run_suite(name: str, n_max: int, m: int | None = None) -> list[Result]:
     """Run one suite.  ``m`` picks the jump bound of a suite in BOUNDED
-    (None sweeps 1..4); the other suites accept only None or 2."""
+    (None sweeps 1..4); the other suites accept only None or 2.  An
+    ``n_max`` below the suite's SMALLEST_N would check nothing, so it is
+    refused."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    smallest = SMALLEST_N.get(name, 1)
+    if n_max < smallest:
+        raise ValueError(f"suite {name!r} checks nothing below N={smallest}, got N={n_max}")
     if name in BOUNDED:
         return SUITES[name](n_max, m)
     if m not in (None, 2):

@@ -97,7 +97,7 @@ def _cmd_seq(args) -> int:
     if route is not None:
         terms = route()
     else:  # the decomposition engine, held to the search ceiling before anything is written
-        bruteforce._check_args(n_max, m, None)
+        bruteforce._check_args(n_max, m)
         terms = split.counts(m)
     terms = itertools.islice(terms, n_max)  # streamed: a few terms in memory at once
     if args.format == "json":

@@ -381,25 +381,14 @@ def dominant_root(rec) -> float:
     if abs(candidate.imag) > 1e-6 * max(1.0, top) or candidate.real <= 0:
         raise NoDominantRoot(f"maximal-modulus root {candidate:.6g} is not positive real")
 
-    def f(x: float) -> float:
-        acc = 0.0
-        for c in char:
-            acc = acc * x + c
-        return acc
-
-    def fprime(x: float) -> float:
-        acc = 0.0
-        deg = len(char) - 1
-        for i, c in enumerate(char[:-1]):
-            acc = acc * x + (deg - i) * c
-        return acc
-
+    low = char[::-1]
+    slope = [k * c for k, c in enumerate(low)][1:]
     x = candidate.real
     for _ in range(60):
-        d = fprime(x)
+        d = poly_eval(slope, x)
         if d == 0:
             break
-        step = f(x) / d
+        step = poly_eval(low, x) / d
         x -= step
         if abs(step) < _NEWTON_STOP * max(1.0, abs(x)):
             break

@@ -12,7 +12,7 @@ hard fact is that counts never drop when the bound loosens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .genfunc import NoDominantRoot, RationalGF, dominant_root, fit_recurrence
@@ -54,14 +54,14 @@ class GrowthProfile:
     estimate_method: str | None
 
 
-def build_profile(m: int, n_max: int, ceiling: int | None = None) -> GrowthProfile:
+def build_profile(m: int, n_max: int) -> GrowthProfile:
     """Count lengths 1..n_max at bound m and guess the growth.
 
     The counts come from ``split.count``, which refuses lengths above
-    the brute-force ceiling (``ceiling``, else ``PERMLIP_CEILING``, else
-    14) with ``CeilingExceeded``, as the search engines do.
+    the brute-force ceiling (``PERMLIP_CEILING``, else 14) with
+    ``CeilingExceeded``, as the search engines do.
     """
-    terms = tuple(count(n, m, ceiling) for n in range(1, n_max + 1))
+    terms = tuple(count(n, m) for n in range(1, n_max + 1))
     fitted = None
     if len(terms) >= 4:
         fitted = fit_recurrence(list(terms), FIT_MAX_ORDER, FIT_MAX_OFFSET)
@@ -148,12 +148,5 @@ def monotonicity_check(profiles: list[GrowthProfile]) -> MonotonicityReport:
 
 
 def report_to_dict(report: MonotonicityReport) -> dict:
-    return {
-        "m_values": list(report.m_values),
-        "n_max": report.n_max,
-        "termwise_ok": report.termwise_ok,
-        "termwise_failures": [list(f) for f in report.termwise_failures],
-        "alphas": list(report.alphas),
-        "alphas_strictly_increasing": report.alphas_strictly_increasing,
-        "alphas_below_catalan_limit": report.alphas_below_catalan_limit,
-    }
+    """JSON-ready view: the fields in order (tuples serialize as arrays)."""
+    return asdict(report)

@@ -82,12 +82,13 @@ def counts(m: int) -> Iterator[int]:
             table[d][0] += ways
 
 
-def count(n: int, m: int, ceiling: int | None = None) -> int:
+def count(n: int, m: int) -> int:
     """Number of length-n permutations avoiding 132 with all jumps <= m.
 
     Refuses the same arguments as ``transfer.count``, including lengths
-    above the brute-force ceiling.  A bound of n - 1 or more excludes
-    nothing, so it is read as n - 1 and a huge m costs nothing extra.
+    above the brute-force ceiling (``PERMLIP_CEILING``, else 14).  A bound
+    of n - 1 or more excludes nothing, so it is read as n - 1 and a huge m
+    costs nothing extra.
     """
-    _check_args(n, m, ceiling)
+    _check_args(n, m)
     return next(islice(counts(min(m, max(n - 1, 1))), n - 1, None))

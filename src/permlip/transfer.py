@@ -23,14 +23,14 @@ from .bruteforce import _check_args
 __all__ = ["count"]
 
 
-def count(n: int, m: int, ceiling: int | None = None) -> int:
+def count(n: int, m: int) -> int:
     """Number of length-n permutations avoiding 132 with all jumps <= m.
 
     Exact, by summing over layers of merged prefix states.  Refuses the
     same arguments as ``bruteforce.count``, including lengths above the
     brute-force ceiling.
     """
-    _check_args(n, m, ceiling)
+    _check_args(n, m)
     # A state packs into one int: from the top, the unused-value bitmask
     # (bit v for value v), the last entry and the running minimum, the two
     # entries taking `width` bits each.

@@ -54,25 +54,14 @@ def test_root_identities():
     assert 0.0 < est.rho < 1.0 < est.alpha < 2.0
 
 
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        dominant_singularity(0.0)
-    with pytest.raises(ValueError):
-        dominant_singularity(-1e-9)
-    with pytest.raises(ValueError):
-        dominant_singularity(1e-5)
-    # anything in range works and gives the same float
-    assert dominant_singularity(1e-7) == dominant_singularity(1e-12)
-
-
 def test_estimate_cross_validates_on_construction():
     good = estimate()
     with pytest.raises(ValueError):
-        AsymptoticEstimate(0.5, 2.0, good.amplitude, 1e-12)
+        AsymptoticEstimate(0.5, 2.0, good.amplitude)
     with pytest.raises(ValueError):
-        AsymptoticEstimate(good.rho, 1.5, good.amplitude, 1e-12)
+        AsymptoticEstimate(good.rho, 1.5, good.amplitude)
     # consistent values pass
-    AsymptoticEstimate(good.rho, good.alpha, good.amplitude, 1e-12)
+    AsymptoticEstimate(good.rho, good.alpha, good.amplitude)
 
 
 def test_amplitude_closed_form():

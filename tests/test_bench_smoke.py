@@ -1,7 +1,8 @@
 """The benchmark under bench/ names permlip functions and reference
 values.  Without running it, check that every name its jobs and its
-tracing pass use still resolves, and that its reference terms still match
-the engines."""
+tracing pass use still resolves, that its reference terms still match
+the engines, and that every command of its CLI session prints the
+recorded bytes."""
 
 import importlib.util
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from permlip import m2
+from permlip.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -57,3 +59,12 @@ def test_reference_terms_match_streams(bench):
         terms = [str(t) for t in islice(stream(), 40)]
         assert terms[:10] == refs["m2_first_ten_paper"]
         assert terms == refs["m2_terms"][:40]
+
+
+def test_cli_session_matches_recorded_output(bench, capsys, monkeypatch):
+    _, jobs, refs = bench
+    monkeypatch.delenv("PERMLIP_CEILING", raising=False)
+    for argv, _ in jobs.CLI_SESSION:
+        rc = main(argv.split())
+        assert (rc, capsys.readouterr().out) == (refs["cli"][argv]["exit"],
+                                                 refs["cli"][argv]["stdout"]), argv

@@ -8,7 +8,6 @@ from permlip.bruteforce import (
     catalan,
     catalan_by_recurrence,
     count,
-    m2_class_sizes,
     max_position_census,
     members,
 )
@@ -85,23 +84,11 @@ def test_census_support_and_realization():
                 assert required <= set(census), (n, m, census)
 
 
-def test_m2_class_sizes():
-    assert m2_class_sizes(3) == (2, 1, 2)
-    assert m2_class_sizes(4) == (4, 1, 3)
-    assert m2_class_sizes(6) == (9, 4, 5)
-    for n in range(3, 11):
-        assert sum(m2_class_sizes(n)) == count(n, 2)
-    for n in (1, 2):
-        with pytest.raises(ValueError):
-            m2_class_sizes(n)
-
-
 def test_ceiling_enforcement(monkeypatch):
     with pytest.raises(CeilingExceeded):
         count(15, 2)
     with pytest.raises(CeilingExceeded):
         members(20, 3)
-    assert count(15, 2, ceiling=15) == 478
     monkeypatch.setenv("PERMLIP_CEILING", "15")
     assert count(15, 2) == 478
     monkeypatch.setenv("PERMLIP_CEILING", "10")

@@ -18,6 +18,16 @@ def test_suite_passes(name):
     assert _failures(results) == []
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_smallest_n_is_where_checks_start(name):
+    smallest = checks.SMALLEST_N.get(name, 1)
+    assert run_suite(name, smallest)
+    with pytest.raises(ValueError, match=f"N={smallest}"):
+        run_suite(name, smallest - 1)
+    if smallest > 1:  # one lower, the suite itself would report nothing
+        assert SUITES[name](smallest - 1) == []
+
+
 def test_result_shape():
     for name, ok, detail in run_suite("split", 8):
         assert isinstance(name, str) and name

@@ -211,6 +211,15 @@ def test_verify_bound_on_m2_suite_is_usage_error(capsys):
         assert rc == 0 and out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("suite, n_max, smallest",
+                         [("max-last", 1, 2), ("max-second", 2, 3), ("split", 2, 3)])
+def test_verify_with_nothing_to_check_is_usage_error(capsys, suite, n_max, smallest):
+    rc, out, err = run_cli(capsys, "verify", "--suite", suite, "-N", str(n_max))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"N={smallest}" in err
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     import permlip.cli as cli
     monkeypatch.setattr(cli.checks, "run_suite",
@@ -300,7 +309,7 @@ def test_probe_bounds_must_increase(capsys):
 
 def test_probe_exits_one_when_counts_drop(capsys, monkeypatch):
     import permlip.probe as probe
-    monkeypatch.setattr(probe, "count", lambda n, m, ceiling=None: 10 * n - m)
+    monkeypatch.setattr(probe, "count", lambda n, m: 10 * n - m)
     rc, out, _ = run_cli(capsys, "probe", "-m", "1", "2", "-N", "4")
     assert rc == 1
     report = json.loads(out.splitlines()[-1])

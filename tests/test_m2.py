@@ -178,8 +178,8 @@ def test_class_count_routes_agree():
 
 def test_family_sizes_assemble_total():
     for n in range(3, 13):
-        sizes = bruteforce.m2_class_sizes(n)
-        assert sizes == (max_first_count(n), max_second_count(n), max_last_count(n))
+        census = bruteforce.max_position_census(n, 2)
+        assert census == {1: max_first_count(n), 2: max_second_count(n), n: max_last_count(n)}
 
 
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=6).map(tuple), st.integers(0, 300))

@@ -70,10 +70,11 @@ def test_tiny_runs():
     assert p.alpha_estimate is None and p.estimate_method is None
 
 
-def test_ceiling_propagates():
+def test_ceiling_propagates(monkeypatch):
     with pytest.raises(CeilingExceeded):
         build_profile(2, 15)
-    p = build_profile(2, 15, ceiling=15)
+    monkeypatch.setenv("PERMLIP_CEILING", "15")
+    p = build_profile(2, 15)
     assert p.terms[14] == 478
 
 

@@ -33,10 +33,11 @@ def test_bound_one_is_two_from_length_two():
     assert list(islice(counts(1), 50)) == [1] + [2] * 49
 
 
-def test_loose_bound_is_catalan():
+def test_loose_bound_is_catalan(monkeypatch):
+    monkeypatch.setenv("PERMLIP_CEILING", "30")
     for n in range(1, 31):
         for m in {max(1, n - 1), n, n + 5}:
-            assert count(n, m, ceiling=30) == catalan(n), f"n={n} m={m}"
+            assert count(n, m) == catalan(n), f"n={n} m={m}"
 
 
 def test_counts_never_drop_as_the_bound_loosens():
@@ -48,7 +49,8 @@ def test_counts_never_drop_as_the_bound_loosens():
 def test_refusals(monkeypatch):
     with pytest.raises(CeilingExceeded):
         count(15, 3)
-    assert count(15, 2, ceiling=15) == 478
+    monkeypatch.setenv("PERMLIP_CEILING", "15")
+    assert count(15, 2) == 478
     monkeypatch.setenv("PERMLIP_CEILING", "10")
     with pytest.raises(CeilingExceeded):
         count(11, 3)

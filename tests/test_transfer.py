@@ -44,7 +44,8 @@ def test_matches_exhaustive_filter(n, m):
 def test_refusals(monkeypatch):
     with pytest.raises(CeilingExceeded):
         count(15, 3)
-    assert count(15, 2, ceiling=15) == 478
+    monkeypatch.setenv("PERMLIP_CEILING", "15")
+    assert count(15, 2) == 478
     monkeypatch.setenv("PERMLIP_CEILING", "10")
     with pytest.raises(CeilingExceeded):
         count(11, 3)
