@@ -8,6 +8,7 @@ exposes.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import islice
 
 from .core import split_at_max
@@ -47,10 +48,10 @@ def suite_transfer(n_max: int, m: int | None = None) -> list[Result]:
     with the brute-force oracle."""
     out = []
     for bound in [m] if m is not None else [1, 2, 3, 4]:
-        for n in range(1, n_max + 1):
+        for n, by_split in enumerate(split.head(n_max, bound), start=1):
             oracle = bruteforce.count(n, bound)
             wrong = [f"{name} {value}" for name, value in
-                     (("transfer", transfer.count(n, bound)), ("split", split.count(n, bound)))
+                     (("transfer", transfer.count(n, bound)), ("split", by_split))
                      if value != oracle]
             out.append(_check(f"count n={n} m={bound}", not wrong,
                               f"{', '.join(wrong)}, oracle {oracle}"))
@@ -126,20 +127,21 @@ def suite_max_first(n_max: int) -> list[Result]:
 
 def suite_split(n_max: int) -> list[Result]:
     """Three-way split by maximum position is exhaustive and the family
-    sizes assemble the total; left block dominates right block."""
+    sizes assemble the total; left block dominates right block.  One walk
+    of the oracle per n gives the census, the total and the separation."""
     out = []
     for n in range(3, n_max + 1):
-        census = bruteforce.max_position_census(n, 2)
-        first, second, last = census.get(1, 0), census.get(2, 0), census.get(n, 0)
-        total = bruteforce.count(n, 2)
-        out.append(_check(f"totals n={n}", first + second + last == total,
-                          f"{first}+{second}+{last} != {total}"))
+        words = bruteforce.members(n, 2)
+        census = Counter(w.index(n) + 1 for w in words)
+        first, second, last = census[1], census[2], census[n]
+        out.append(_check(f"totals n={n}", first + second + last == len(words),
+                          f"{first}+{second}+{last} != {len(words)}"))
         out.append(_check(
             f"closed sizes n={n}",
             (first, second, last) == (m2.max_first_count(n), m2.max_second_count(n), n - 1),
             f"oracle {(first, second, last)}"))
         separated = True
-        for w in bruteforce.members(n, 2):
+        for w in words:
             piece = split_at_max(w)
             if piece.left and piece.right and min(piece.left) <= max(piece.right):
                 separated = False

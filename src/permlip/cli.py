@@ -17,27 +17,10 @@ import sys
 
 from . import asymptotics, bruteforce, checks, genfunc, m2, probe, split, transfer
 
-__all__ = ["main", "format_bfile", "parse_bfile"]
+__all__ = ["main"]
 
 ENGINES = ("brute", "transfer", "closed", "recurrence", "gf")
 FORMATS = ("json", "csv", "bfile", "plain")
-
-def format_bfile(terms, start: int = 1) -> str:
-    """OEIS-style b-file lines: index and value separated by one space."""
-    return "\n".join(f"{n} {t}" for n, t in enumerate(terms, start=start)) + "\n"
-
-
-def parse_bfile(text: str) -> list[tuple[int, int]]:
-    """Inverse of format_bfile; ignores blank and comment lines."""
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        n, value = line.split()
-        out.append((int(n), int(value)))
-    return out
-
 
 _SEARCH = {"brute": bruteforce.count, "transfer": transfer.count}
 
@@ -93,13 +76,10 @@ def _cmd_count(args) -> int:
 
 def _cmd_seq(args) -> int:
     m, n_max, out = args.m, args.n_max, sys.stdout
+    # streamed: a few terms in memory at once; the decomposition engine is
+    # held to the search ceiling before anything is written
     route = _ROUTES.get((_regime(n_max, m), "terms"))
-    if route is not None:
-        terms = route()
-    else:  # the decomposition engine, held to the search ceiling before anything is written
-        bruteforce._check_args(n_max, m)
-        terms = split.counts(m)
-    terms = itertools.islice(terms, n_max)  # streamed: a few terms in memory at once
+    terms = itertools.islice(route(), n_max) if route is not None else split.head(n_max, m)
     if args.format == "json":
         out.write(f'{{"m": {m}, "n_max": {n_max}, "terms": [')
         for n, t in enumerate(terms):
@@ -166,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=ENGINES, default="brute",
                    help="brute search, transfer-matrix count, closed form, linear "
                         "recurrence, or series extraction (the last three need m in "
-                        "{1, 2} or m >= n - 1)")
+                        "{1, 2}; closed and recurrence also cover m >= n - 1)")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("seq", help="sequence of counts for lengths 1..N")

@@ -217,15 +217,16 @@ def gf_max_first() -> RationalGF:
 
 
 def gf_m2() -> RationalGF:
-    """Generating function of the full class sizes for jump bound 2.
+    """Generating function of the full class sizes for jump bound 2, as the
+    paper prints it: (x - x^2 + 2x^3 - 3x^4 + x^5 - x^6) / ((1 - x)^2 (1 - x - x^3)).
 
-    Assembled as (1 + x^2) * gf_max_first() + x^2 / (1 - x)^2: the
-    max-second family mirrors the max-first one two sizes down and the
-    max-last family contributes n - 1.
+    It equals (1 + x^2) * gf_max_first() + x^2 / (1 - x)^2 (the max-second
+    family mirrors the max-first one two sizes down and the max-last family
+    contributes n - 1); ``verify --suite gf`` checks that assembly against
+    this literal.
     """
-    one_plus_x2 = RationalGF((1, 0, 1), (1,))
-    ramp = RationalGF((0, 0, 1), poly_mul((1, -1), (1, -1)))
-    return gf_add(gf_mul(one_plus_x2, gf_max_first()), ramp)
+    return RationalGF((0, 1, -1, 2, -3, 1, -1),
+                      poly_mul(poly_mul((1, -1), (1, -1)), (1, -1, 0, -1)))
 
 
 def _exact_quotient(a, b: int):

@@ -1,11 +1,11 @@
 """Empirical growth profiling across jump bounds.
 
 For jump bounds beyond 2 no exact theory ships here; instead this module
-gathers exact counts from the decomposition engine (``split.count``),
-tries to guess a constant-coefficient linear recurrence from them, and
-extracts a growth-rate estimate.  Two working hypotheses guide what gets
-measured but are never hard-asserted: each bound may admit such a
-recurrence, and the growth rates may climb
+reads the exact counts of lengths 1..N in one pass of the decomposition
+engine (``split.head``), tries to guess a constant-coefficient linear
+recurrence from them, and extracts a growth-rate estimate.  Two working
+hypotheses guide what gets measured but are never hard-asserted: each
+bound may admit such a recurrence, and the growth rates may climb
 strictly from 1 toward the Catalan limit 4.  The only claim checked as a
 hard fact is that counts never drop when the bound loosens.
 """
@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .genfunc import NoDominantRoot, RationalGF, dominant_root, fit_recurrence
-from .split import count
+from .split import head
 
 __all__ = [
     "GrowthProfile",
@@ -57,11 +57,11 @@ class GrowthProfile:
 def build_profile(m: int, n_max: int) -> GrowthProfile:
     """Count lengths 1..n_max at bound m and guess the growth.
 
-    The counts come from ``split.count``, which refuses lengths above
-    the brute-force ceiling (``PERMLIP_CEILING``, else 14) with
-    ``CeilingExceeded``, as the search engines do.
+    The counts come from one pass of ``split.head``, which refuses an
+    n_max above the brute-force ceiling (``PERMLIP_CEILING``, else 14)
+    with ``CeilingExceeded``, as the search engines do.
     """
-    terms = tuple(count(n, m) for n in range(1, n_max + 1))
+    terms = tuple(head(n_max, m))
     fitted = None
     if len(terms) >= 4:
         fitted = fit_recurrence(list(terms), FIT_MAX_ORDER, FIT_MAX_OFFSET)

@@ -28,7 +28,7 @@ from itertools import islice
 
 from .bruteforce import _check_args
 
-__all__ = ["count", "counts"]
+__all__ = ["count", "counts", "head"]
 
 
 def _shift(column: list[int], s: int, m: int) -> list[int]:
@@ -40,7 +40,7 @@ def counts(m: int) -> Iterator[int]:
     """The class sizes A_1, A_2, ... at jump bound m, without end.
 
     Each length keeps a table of (m + 1)^2 counts, so callers cap m at the
-    longest length they read minus one (``count`` does): beyond it the
+    longest length they read minus one (``head`` does): beyond it the
     bound excludes nothing.
     """
     if m < 1:
@@ -82,13 +82,20 @@ def counts(m: int) -> Iterator[int]:
             table[d][0] += ways
 
 
-def count(n: int, m: int) -> int:
-    """Number of length-n permutations avoiding 132 with all jumps <= m.
+def head(n_max: int, m: int) -> Iterator[int]:
+    """The class sizes A_1..A_n_max at jump bound m, read lazily off ``counts``.
 
-    Refuses the same arguments as ``transfer.count``, including lengths
-    above the brute-force ceiling (``PERMLIP_CEILING``, else 14).  A bound
-    of n - 1 or more excludes nothing, so it is read as n - 1 and a huge m
-    costs nothing extra.
+    Refuses the same arguments as ``transfer.count`` at call time, before
+    anything is read, including an n_max above the brute-force ceiling
+    (``PERMLIP_CEILING``, else 14).  A bound of n_max - 1 or more excludes
+    nothing up to n_max, so it is read as n_max - 1 and a huge m costs
+    nothing extra.
     """
-    _check_args(n, m)
-    return next(islice(counts(min(m, max(n - 1, 1))), n - 1, None))
+    _check_args(n_max, m)
+    return islice(counts(min(m, max(n_max - 1, 1))), n_max)
+
+
+def count(n: int, m: int) -> int:
+    """Number of length-n permutations avoiding 132 with all jumps <= m: the
+    last term of ``head(n, m)``, with its refusals."""
+    return deque(head(n, m), maxlen=1)[0]

@@ -76,3 +76,13 @@ def test_transfer_suite_reports_disagreement(monkeypatch):
     bad = _failures(run_suite("transfer", 5, 3))
     assert [name for name, _, _ in bad] == [f"count n={n} m=3" for n in range(1, 6)]
     assert all("oracle" in detail for _, _, detail in bad)
+
+
+def test_split_suite_walks_the_oracle_once_per_length(monkeypatch):
+    walked = []
+    real = checks.bruteforce.members
+    monkeypatch.setattr(checks.bruteforce, "members", lambda n, m: walked.append(n) or real(n, m))
+    for name in ("count", "max_position_census"):
+        monkeypatch.setattr(checks.bruteforce, name, lambda *args: pytest.fail("second walk"))
+    assert _failures(run_suite("split", 10)) == []
+    assert walked == list(range(3, 11))

@@ -78,6 +78,15 @@ def test_ceiling_propagates(monkeypatch):
     assert p.terms[14] == 478
 
 
+def test_profile_reads_the_engine_once(monkeypatch):
+    import permlip.split as split
+    calls = []
+    real = split.counts
+    monkeypatch.setattr(split, "counts", lambda m: calls.append(m) or real(m))
+    assert build_profile(3, 14).terms[-1] == 10088
+    assert calls == [3]
+
+
 def test_profile_dict_round_trips_through_json():
     d = profile_to_dict(build_profile(2, 14))
     again = json.loads(json.dumps(d))

@@ -11,7 +11,7 @@ import pytest
 from permlip import bruteforce, m2, transfer
 from permlip.bruteforce import CeilingExceeded, catalan
 from permlip.genfunc import dominant_root, fit_recurrence, gf_m2
-from permlip.split import count, counts
+from permlip.split import count, counts, head
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -23,6 +23,12 @@ def test_matches_oracle(m):
 @pytest.mark.parametrize("m", range(1, 10))
 def test_matches_transfer(m):
     assert list(islice(counts(m), 13)) == [transfer.count(n, m) for n in range(1, 14)]
+
+
+@pytest.mark.parametrize("m", [*range(1, 9), 10**9])
+def test_head_is_the_first_counts(m):
+    for n_max in (1, 2, 7, 14):
+        assert list(head(n_max, m)) == [count(n, m) for n in range(1, n_max + 1)]
 
 
 def test_bound_two_matches_closed_form_for_2000_terms():
@@ -57,6 +63,10 @@ def test_refusals(monkeypatch):
     for n, m in ((0, 2), (-1, 2), (3, 0), (3, -2)):
         with pytest.raises(ValueError):
             count(n, m)
+        with pytest.raises(ValueError):  # on the call itself, before any term is read
+            head(n, m)
+    with pytest.raises(CeilingExceeded):
+        head(11, 3)
     with pytest.raises(ValueError):
         next(counts(0))
 
