@@ -10,7 +10,6 @@ from .core import (
     MaxSplit,
     avoids_132,
     in_class,
-    is_permutation,
     max_adjacent_jump,
     prefix_extension_ok,
     satisfies_adjacency,
@@ -45,6 +44,7 @@ from .genfunc import (
     fit_recurrence,
     gf_m2,
     gf_max_first,
+    newton_root,
     nth_coeff,
     series_coeffs,
     series_stream,
@@ -52,7 +52,6 @@ from .genfunc import (
 from .asymptotics import (
     AsymptoticEstimate,
     amplitude,
-    asymptotic_value,
     convergence_report,
     dominant_singularity,
     estimate,

@@ -2,24 +2,24 @@
 
 The class generating function has a simple pole inside the unit disk at
 the unique positive root of 1 - x - x^3; the counts therefore grow like
-amplitude * alpha^n with alpha the reciprocal root.  This module computes
-the constants to full float precision and measures how fast the exact
-counts close in on the leading term.
+amplitude * alpha^n with alpha the reciprocal root.  This module finds
+that root with the package's one Newton polish (``genfunc.newton_root``),
+derives the constants from it to full float precision, and measures how
+fast the exact counts close in on the leading term.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
+from .genfunc import newton_root, poly_eval
 from .m2 import class_counts_by_recurrence
 
 __all__ = [
     "AsymptoticEstimate",
     "ConvergenceRow",
     "amplitude",
-    "asymptotic_value",
     "convergence_csv",
     "convergence_report",
     "dominant_singularity",
@@ -29,31 +29,23 @@ __all__ = [
 
 CSV_HEADER = "n,exact,asymptotic,rel_error"
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_CUBIC = (1, -1, 0, -1)  # 1 - x - x^3, lowest coefficient first
 
 # residual bound on the root and on the constants derived from it
 _TOLERANCE = 1e-12
-
-
-def _poly(x: float) -> float:
-    return 1.0 - x - x**3
 
 
 def dominant_singularity() -> float:
     """The unique positive root of 1 - x - x^3, in (0, 1).
 
     The cubic is decreasing and concave on [0, 1], so Newton steps from
-    x = 1 fall monotonically onto the root; the residual is forced below
-    ``_TOLERANCE``.
+    x = 1 (``genfunc.newton_root``) fall monotonically onto the root; the
+    residual is then checked against ``_TOLERANCE``.
     """
-    x = 1.0
-    for _ in range(60):
-        step = _poly(x) / (-1.0 - 3.0 * x * x)
-        x -= step
-        if abs(step) < 1e-16:
-            break
-    if abs(_poly(x)) > _TOLERANCE:
-        raise ArithmeticError(f"root refinement stalled at residual {_poly(x):.3g}")
+    x = newton_root(_CUBIC, 1.0)
+    residual = poly_eval(_CUBIC, x)
+    if abs(residual) > _TOLERANCE:
+        raise ArithmeticError(f"root refinement stalled at residual {residual:.3g}")
     return x
 
 
@@ -71,7 +63,7 @@ class AsymptoticEstimate:
     amplitude: float
 
     def __post_init__(self):
-        if abs(_poly(self.rho)) > _TOLERANCE:
+        if abs(poly_eval(_CUBIC, self.rho)) > _TOLERANCE:
             raise ValueError(f"rho={self.rho!r} is not a root of 1 - x - x^3")
         if abs(self.alpha * self.rho - 1.0) > _TOLERANCE:
             raise ValueError("alpha must be the reciprocal of rho")
@@ -84,23 +76,8 @@ def estimate() -> AsymptoticEstimate:
     return AsymptoticEstimate(rho, 1.0 / rho, amplitude(rho))
 
 
-def asymptotic_value(n: int, est: AsymptoticEstimate) -> float:
-    """Leading term amplitude * alpha^n as a float.
-
-    Overflows binary64 for n around 1860; use ``log_asymptotic_value``
-    past that.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if log_asymptotic_value(n, est) >= _LOG_FLOAT_MAX:
-        raise OverflowError(
-            f"leading term at n={n} exceeds float range; use log_asymptotic_value"
-        )
-    return est.amplitude * est.alpha**n
-
-
 def log_asymptotic_value(n: int, est: AsymptoticEstimate) -> float:
-    """Natural log of the leading term; safe for any n."""
+    """Natural log of the leading term amplitude * alpha^n; finite for any n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return math.log(est.amplitude) + n * math.log(est.alpha)

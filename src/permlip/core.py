@@ -13,24 +13,12 @@ from itertools import combinations
 __all__ = [
     "MaxSplit",
     "avoids_132",
-    "check_permutation",
     "in_class",
-    "is_permutation",
     "max_adjacent_jump",
     "prefix_extension_ok",
     "satisfies_adjacency",
     "split_at_max",
 ]
-
-
-def is_permutation(word) -> bool:
-    """True iff word holds each of 1..len(word) exactly once (and is nonempty)."""
-    return len(word) >= 1 and sorted(word) == list(range(1, len(word) + 1))
-
-
-def check_permutation(word) -> None:
-    if not is_permutation(word):
-        raise ValueError(f"not a permutation of 1..n in one-line notation: {word!r}")
 
 
 def avoids_132(word) -> bool:

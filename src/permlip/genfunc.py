@@ -36,6 +36,7 @@ __all__ = [
     "gf_m2",
     "gf_max_first",
     "gf_mul",
+    "newton_root",
     "nth_coeff",
     "poly_add",
     "poly_eval",
@@ -310,7 +311,8 @@ def _berlekamp_massey(seq) -> tuple[int, ...]:
     return c
 
 
-def fit_recurrence(seq, max_order: int, max_offset: int) -> RationalGF | None:
+def fit_recurrence(seq, max_order: int | None = None,
+                   max_offset: int | None = None) -> RationalGF | None:
     """Guess the rational generating function of lowest order whose
     coefficients a_1, a_2, ... are ``seq`` (and a_0 = 0).
 
@@ -318,17 +320,19 @@ def fit_recurrence(seq, max_order: int, max_offset: int) -> RationalGF | None:
     polynomial C, the denominator.  The numerator P is the series times C,
     cut below valid_from: one past the last index where the relation, read
     with a_k = 0 for k <= 0, fails.  The fit is accepted only when the
-    order deg C is at most max_order, valid_from is at most 1 + max_offset,
-    and the indices from valid_from up to the last two terms still give
-    ``order`` equations: the last two are spare, a held-out tail that must
-    agree too.  Returns P/C, reduced, or None when nothing fits.
+    indices from valid_from up to the last two terms still give ``order``
+    equations: the last two are spare, a held-out tail that must agree too.
+    For L terms that rule alone keeps order + valid_from at most L - 1; a
+    given ``max_order`` also caps the order deg C, and a given
+    ``max_offset`` caps valid_from at 1 + max_offset.  Returns P/C,
+    reduced, or None when nothing fits.
 
     Berlekamp-Massey returns the shortest register, which is only pinned
     down by the data once it holds at least twice the register's length
     in terms.  A shorter series can be refused even when some relation of
     low order, starting late, happens to fit it.
     """
-    if max_order < 1 or max_offset < 0:
+    if (max_order is not None and max_order < 1) or (max_offset is not None and max_offset < 0):
         raise ValueError(f"bad search bounds: max_order={max_order}, max_offset={max_offset}")
     L = len(seq)
     if L < 4:
@@ -337,13 +341,13 @@ def fit_recurrence(seq, max_order: int, max_offset: int) -> RationalGF | None:
     ints = [int(x * scale) for x in seq]
     c = _berlekamp_massey(ints)
     order = len(c) - 1
-    if not 1 <= order <= max_order:
+    if order < 1 or (max_order is not None and order > max_order):
         return None
     # coefficient of x^(j+1) in (a_1 x + a_2 x^2 + ...) * C, for j < L
     p = _trim([0] + [sum(c[i] * ints[j - i] for i in range(min(order, j) + 1))
                      for j in range(L)])
     valid_from = max(1, len(p))
-    if valid_from > 1 + max_offset or (L - 2) - valid_from + 1 < order:
+    if (max_offset is not None and valid_from > 1 + max_offset) or L - 1 - valid_from < order:
         return None
     gf = RationalGF(p, [scale * x for x in c])
     return gf if series_coeffs(gf, L + 1)[1:] == list(seq) else None
@@ -355,14 +359,30 @@ def fit_recurrence(seq, max_order: int, max_offset: int) -> RationalGF | None:
 _NEWTON_STOP = 1e-14
 
 
+def newton_root(poly, x: float) -> float:
+    """A root of the polynomial ``poly`` (coefficients lowest first) by
+    Newton's method from ``x``: stops when a step falls below _NEWTON_STOP
+    relative to the root, after at most 60 steps, or at a zero slope."""
+    slope = [k * c for k, c in enumerate(poly)][1:]
+    for _ in range(60):
+        d = poly_eval(slope, x)
+        if d == 0:
+            break
+        step = poly_eval(poly, x) / d
+        x -= step
+        if abs(step) < _NEWTON_STOP * max(1.0, abs(x)):
+            break
+    return x
+
+
 def dominant_root(rec) -> float:
     """Largest positive real root of x^d - c_1 x^(d-1) - ... - c_d.
 
     Accepts a RationalGF, read through its ``coefficients``, or a bare
     coefficient sequence c_1 .. c_d.  The root must be the unique
     characteristic root of maximal modulus; otherwise NoDominantRoot is
-    raised.  Located via the companion matrix, then polished by Newton
-    steps until a step falls below _NEWTON_STOP relative to the root.
+    raised.  Located via the companion matrix, then polished by
+    :func:`newton_root`.
     """
     import numpy  # a tenth of a second to import; only root finding needs it
 
@@ -381,16 +401,4 @@ def dominant_root(rec) -> float:
     candidate = complex(near[0])
     if abs(candidate.imag) > 1e-6 * max(1.0, top) or candidate.real <= 0:
         raise NoDominantRoot(f"maximal-modulus root {candidate:.6g} is not positive real")
-
-    low = char[::-1]
-    slope = [k * c for k, c in enumerate(low)][1:]
-    x = candidate.real
-    for _ in range(60):
-        d = poly_eval(slope, x)
-        if d == 0:
-            break
-        step = poly_eval(low, x) / d
-        x -= step
-        if abs(step) < _NEWTON_STOP * max(1.0, abs(x)):
-            break
-    return x
+    return newton_root(char[::-1], candidate.real)

@@ -30,14 +30,12 @@ __all__ = [
     "class_count_by_recurrence",
     "class_counts",
     "class_counts_by_recurrence",
-    "even_descent_perm",
     "max_first_count",
     "max_first_counts",
     "max_first_perms",
     "max_last_count",
     "max_last_perms",
     "max_second_count",
-    "odd_descent_perm",
     "to_max_first",
     "to_max_second",
     "zigzag",
@@ -87,44 +85,18 @@ def _dot(c: tuple[int, ...], terms: tuple[int, ...]) -> int:
     return sum(ci * t for ci, t in zip(c, terms))
 
 
-def odd_descent_perm(n: int, p: int) -> tuple[int, ...]:
-    """Max-last member with descending odd prefix 2p-1, 2p-3, ..., 3, 1.
-
-    The rest of 1..n-1 follows in increasing order, then n.  Valid for
-    1 <= p <= n // 2; p = 1 gives the identity.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 1 <= p <= n // 2:
-        raise ValueError(f"prefix index p={p} outside 1..{n // 2} for n={n}")
-    prefix = list(range(2 * p - 1, 0, -2))
-    rest = sorted(set(range(1, n)) - set(prefix))
-    return tuple(prefix + rest + [n])
-
-
-def even_descent_perm(n: int, p: int) -> tuple[int, ...]:
-    """Max-last member with prefix 2p, 2p-2, ..., 2, 1 (even run, then 1).
-
-    The rest of 1..n-1 follows in increasing order, then n.  Valid for
-    1 <= p <= (n - 1) // 2.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 1 <= p <= (n - 1) // 2:
-        raise ValueError(f"prefix index p={p} outside 1..{(n - 1) // 2} for n={n}")
-    prefix = list(range(2 * p, 0, -2)) + [1]
-    rest = sorted(set(range(1, n)) - set(prefix))
-    return tuple(prefix + rest + [n])
-
-
 def max_last_perms(n: int) -> list[tuple[int, ...]]:
-    """All max-last members of length n: odd-prefix family then even-prefix
-    family, each by ascending prefix length."""
+    """All max-last members of length n: a descending prefix, the rest of
+    1..n-1 in increasing order, then n.  The odd prefixes 2p-1, ..., 3, 1
+    (p = 1..n // 2; p = 1 gives the identity) come first, then the even
+    runs 2p, ..., 2 closed by 1 (p = 1..(n - 1) // 2), each family by
+    ascending prefix length."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    odd = [odd_descent_perm(n, p) for p in range(1, n // 2 + 1)]
-    even = [even_descent_perm(n, p) for p in range(1, (n - 1) // 2 + 1)]
-    return odd + even
+    prefixes = [tuple(range(2 * p - 1, 0, -2)) for p in range(1, n // 2 + 1)]
+    prefixes += [tuple(range(2 * p, 0, -2)) + (1,) for p in range(1, (n - 1) // 2 + 1)]
+    return [prefix + tuple(sorted(set(range(1, n)) - set(prefix))) + (n,)
+            for prefix in prefixes]
 
 
 def max_last_count(n: int) -> int:

@@ -27,9 +27,6 @@ __all__ = [
     "report_to_dict",
 ]
 
-FIT_MAX_ORDER = 12
-FIT_MAX_OFFSET = 12
-
 METHOD_FITTED = "fitted-root"
 METHOD_RATIO = "ratio-extrapolation"
 
@@ -64,7 +61,7 @@ def build_profile(m: int, n_max: int) -> GrowthProfile:
     terms = tuple(head(n_max, m))
     fitted = None
     if len(terms) >= 4:
-        fitted = fit_recurrence(list(terms), FIT_MAX_ORDER, FIT_MAX_OFFSET)
+        fitted = fit_recurrence(list(terms))
     alpha = None
     method = None
     if fitted is not None:

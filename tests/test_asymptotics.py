@@ -9,14 +9,14 @@ from permlip.asymptotics import (
     CSV_HEADER,
     AsymptoticEstimate,
     amplitude,
-    asymptotic_value,
     convergence_csv,
     convergence_report,
     dominant_singularity,
     estimate,
     log_asymptotic_value,
 )
-from permlip.genfunc import gf_m2
+from permlip import asymptotics, genfunc
+from permlip.genfunc import dominant_root, gf_m2
 
 
 def _oracle_constants(dps=50):
@@ -41,9 +41,26 @@ def test_constants_match_oracle():
 
 def test_constants_literal_values():
     est = estimate()
-    assert est.rho == pytest.approx(0.6823278038280193, abs=1e-15)
-    assert est.alpha == pytest.approx(1.4655712318767682, abs=1e-15)
-    assert est.amplitude == pytest.approx(1.5076770638769428, abs=1e-14)
+    assert est.rho == 0.6823278038280193
+    assert est.alpha == 1.4655712318767682
+    assert est.amplitude == 1.5076770638769428
+
+
+def test_both_root_finders_polish_once_with_newton_root(monkeypatch):
+    calls = []
+    real = genfunc.newton_root
+
+    def spy(poly, x):
+        calls.append(tuple(poly))
+        return real(poly, x)
+
+    monkeypatch.setattr(genfunc, "newton_root", spy)
+    monkeypatch.setattr(asymptotics, "newton_root", spy)
+    assert dominant_singularity() == 0.6823278038280193
+    assert calls == [(1, -1, 0, -1)]
+    assert dominant_root(gf_m2()) == pytest.approx(1.4655712318767682, abs=1e-12)
+    # x^5 - 3x^4 + 3x^3 - 2x^2 + 2x - 1, lowest coefficient first
+    assert calls[1:] == [(-1.0, 2.0, -2.0, 3.0, -3.0, 1.0)]
 
 
 def test_root_identities():
@@ -72,19 +89,20 @@ def test_amplitude_closed_form():
 
 def test_leading_term_small_n():
     est = estimate()
-    assert asymptotic_value(6, est) == pytest.approx(14.9399766, abs=1e-6)
+    value = math.exp(log_asymptotic_value(6, est))
+    assert value == pytest.approx(14.9399766, abs=1e-6)
     # still 17% off the exact 18 this early
-    assert abs(asymptotic_value(6, est) / 18 - 1) == pytest.approx(0.17, abs=0.01)
+    assert abs(value / 18 - 1) == pytest.approx(0.17, abs=0.01)
     with pytest.raises(ValueError):
-        asymptotic_value(0, est)
+        log_asymptotic_value(0, est)
 
 
 def test_leading_term_overflow_boundary():
     est = estimate()
-    v = asymptotic_value(1800, est)
+    v = math.exp(log_asymptotic_value(1800, est))
     assert math.isfinite(v) and v > 1e290
     with pytest.raises(OverflowError):
-        asymptotic_value(1900, est)
+        math.exp(log_asymptotic_value(1900, est))
     # the log form keeps going
     assert log_asymptotic_value(1900, est) == pytest.approx(
         math.log(est.amplitude) + 1900 * math.log(est.alpha)

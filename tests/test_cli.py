@@ -67,6 +67,13 @@ def test_bound_1_routes_at_large_n(capsys):
         assert rc == 0 and out == "2\n"
 
 
+def test_bound_1_recurrence_route_does_not_step_through_n(capsys):
+    start = time.perf_counter()
+    rc, out, _ = run_cli(capsys, "count", "-n", "100000000", "-m", "1", "--engine", "recurrence")
+    assert time.perf_counter() - start < 2  # reading n terms off the series took ~50 s
+    assert rc == 0 and out == "2\n"
+
+
 def test_transfer_engine_at_the_ceiling(capsys):
     rc, out, _ = run_cli(capsys, "count", "-n", "14", "-m", "3", "--engine", "transfer")
     assert rc == 0 and out == "10088\n"
@@ -311,6 +318,26 @@ def test_probe_exits_one_when_counts_drop(capsys, monkeypatch):
     report = json.loads(out.splitlines()[-1])
     assert report["termwise_ok"] is False
     assert report["termwise_failures"][0] == [1, 2, 1, 9, 8]
+
+
+# ---------------------------------------------------------------- pinned calls
+
+PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
+
+
+def test_pinned_calls_print_recorded_bytes(capsys, monkeypatch):
+    """Exit code, stdout and stderr of probe, verify, seq and count calls
+    near the ceiling and the bounds' edges, recorded once from the CLI."""
+    monkeypatch.delenv("PERMLIP_CEILING", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    for pin in PINS:
+        try:
+            rc = main(pin["argv"].split())
+        except SystemExit as exc:  # argparse refuses with exit 2
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (pin["exit"], pin["stdout"],
+                                                    pin["stderr"]), pin["argv"]
 
 
 # ---------------------------------------------------------------- entry point

@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 from permlip.core import (
     MaxSplit,
     avoids_132,
-    check_permutation,
     in_class,
-    is_permutation,
     max_adjacent_jump,
     prefix_extension_ok,
     satisfies_adjacency,
@@ -36,15 +34,6 @@ def test_jump_examples():
     assert not in_class((1, 3, 2), 5)
     with pytest.raises(ValueError):
         satisfies_adjacency((1, 2), 0)
-
-
-def test_permutation_validation():
-    assert is_permutation((2, 1, 3))
-    assert not is_permutation(())
-    assert not is_permutation((1, 1, 2))
-    assert not is_permutation((0, 1))
-    with pytest.raises(ValueError):
-        check_permutation((1, 3))
 
 
 def test_split_examples():

@@ -19,6 +19,7 @@ from permlip.genfunc import (
     gf_m2,
     gf_max_first,
     gf_mul,
+    newton_root,
     nth_coeff,
     poly_add,
     poly_eval,
@@ -238,6 +239,8 @@ def test_recurrence_terms_regenerates():
 def test_fit_recovers_class_recurrence():
     fit = fit_recurrence(class_terms(20), 6, 7)
     assert fit == gf_m2()
+    assert fit_recurrence(class_terms(20)) == fit  # the spare-equation rule alone
+    assert fit_recurrence(class_terms(20), 4) is None  # order 5 exceeds max_order
     assert fit.coefficients == CLASS_COEFFS
     assert fit.order == 5 and fit.valid_from == 7
     assert series_coeffs(fit, 7)[1:] == [1, 2, 5, 8, 12, 18]
@@ -381,3 +384,12 @@ def test_dominant_root_examples():
     # x^2 - 2x + 1: double root at 1, no unique dominant root
     with pytest.raises(NoDominantRoot):
         dominant_root([2, -1])
+
+
+def test_newton_root_examples():
+    root = newton_root((-2, 0, 1), 1.0)  # x^2 - 2, lowest coefficient first
+    assert abs(root - math.sqrt(2)) <= math.ulp(math.sqrt(2))
+    assert newton_root((-2.0, 0.0, 1.0), -1.0) == pytest.approx(-math.sqrt(2), rel=1e-15)
+    # a zero slope at the start leaves x where it is instead of dividing by it
+    assert newton_root((-2, 0, 1), 0.0) == 0.0
+    assert newton_root((5,), 3.0) == 3.0  # a constant has no slope anywhere

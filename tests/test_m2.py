@@ -13,14 +13,12 @@ from permlip.m2 import (
     class_count_by_recurrence,
     class_counts,
     class_counts_by_recurrence,
-    even_descent_perm,
     max_first_count,
     max_first_counts,
     max_first_perms,
     max_last_count,
     max_last_perms,
     max_second_count,
-    odd_descent_perm,
     to_max_first,
     to_max_second,
     zigzag,
@@ -40,32 +38,25 @@ def oracle_family(n, position):
 
 
 def test_descent_constructors():
-    assert odd_descent_perm(5, 2) == (3, 1, 2, 4, 5)
-    assert odd_descent_perm(6, 3) == (5, 3, 1, 2, 4, 6)
-    assert odd_descent_perm(5, 1) == (1, 2, 3, 4, 5)  # identity
-    assert even_descent_perm(3, 1) == (2, 1, 3)
-    assert even_descent_perm(6, 2) == (4, 2, 1, 3, 5, 6)
+    # odd prefixes (1), (3, 1), ... first, then even runs (2, 1), (4, 2, 1), ...
+    assert max_last_perms(2) == [(1, 2)]
+    assert max_last_perms(3) == [(1, 2, 3), (2, 1, 3)]
+    assert max_last_perms(5) == [(1, 2, 3, 4, 5), (3, 1, 2, 4, 5),
+                                 (2, 1, 3, 4, 5), (4, 2, 1, 3, 5)]
+    assert max_last_perms(6) == [(1, 2, 3, 4, 5, 6), (3, 1, 2, 4, 5, 6), (5, 3, 1, 2, 4, 6),
+                                 (2, 1, 3, 4, 5, 6), (4, 2, 1, 3, 5, 6)]
     with pytest.raises(ValueError):
-        odd_descent_perm(5, 3)
-    with pytest.raises(ValueError):
-        even_descent_perm(5, 3)
-    with pytest.raises(ValueError):
-        odd_descent_perm(1, 1)
+        max_last_perms(1)
 
 
-@given(st.integers(2, 40), st.data())
-def test_constructed_words_are_members(n, data):
-    which = data.draw(st.sampled_from(["odd", "even"]))
-    if which == "odd":
-        p = data.draw(st.integers(1, n // 2))
-        word = odd_descent_perm(n, p)
-    else:
-        if (n - 1) // 2 < 1:
-            return
-        p = data.draw(st.integers(1, (n - 1) // 2))
-        word = even_descent_perm(n, p)
-    assert word[-1] == n
-    assert in_class(word, 2)
+@given(st.integers(2, 40))
+def test_constructed_words_are_members(n):
+    words = max_last_perms(n)
+    assert len(set(words)) == n - 1
+    for word in words:
+        assert sorted(word) == list(range(1, n + 1))
+        assert word[-1] == n
+        assert in_class(word, 2)
 
 
 def test_max_last_family_matches_oracle():

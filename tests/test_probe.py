@@ -78,6 +78,16 @@ def test_ceiling_propagates(monkeypatch):
     assert p.terms[14] == 478
 
 
+def test_fit_is_bounded_only_by_its_spare_equations(monkeypatch):
+    # 30 terms pin the order-13 GF of bound 3, which starts at index 14
+    monkeypatch.setenv("PERMLIP_CEILING", "30")
+    p = build_profile(3, 30)
+    assert p.fitted is not None
+    assert p.fitted.order == 13 and p.fitted.valid_from == 14
+    assert p.estimate_method == METHOD_FITTED
+    assert p.alpha_estimate == pytest.approx(1.8265157722360474, abs=1e-12)
+
+
 def test_profile_reads_the_engine_once(monkeypatch):
     import permlip.split as split
     calls = []
