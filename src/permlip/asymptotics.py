@@ -98,7 +98,7 @@ class ConvergenceRow:
         return f"{mantissa:.9f}e{exponent:+03d}"
 
 
-def convergence_report(n_max: int, est: AsymptoticEstimate | None = None) -> list[ConvergenceRow]:
+def convergence_report(n_max: int) -> list[ConvergenceRow]:
     """Exact count vs leading term for n = 1 .. n_max (n_max <= 10**4).
 
     Relative error is computed in log space, so the comparison stays
@@ -106,7 +106,7 @@ def convergence_report(n_max: int, est: AsymptoticEstimate | None = None) -> lis
     """
     if not 1 <= n_max <= 10**4:
         raise ValueError(f"n_max must lie in 1..10000, got {n_max}")
-    est = est or estimate()
+    est = estimate()
     rows = []
     for n, exact in zip(range(1, n_max + 1), class_counts_by_recurrence()):
         asym_log = log_asymptotic_value(n, est)
@@ -115,8 +115,8 @@ def convergence_report(n_max: int, est: AsymptoticEstimate | None = None) -> lis
     return rows
 
 
-def convergence_csv(n_max: int, est: AsymptoticEstimate | None = None) -> str:
+def convergence_csv(n_max: int) -> str:
     lines = [CSV_HEADER]
-    for row in convergence_report(n_max, est):
+    for row in convergence_report(n_max):
         lines.append(f"{row.n},{row.exact},{row.asymptotic_display()},{row.rel_error:.6e}")
     return "\n".join(lines) + "\n"

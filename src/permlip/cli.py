@@ -106,10 +106,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_asym(args) -> int:
-    est = asymptotics.estimate()
     if args.convergence is not None:
-        sys.stdout.write(asymptotics.convergence_csv(args.convergence, est))
+        sys.stdout.write(asymptotics.convergence_csv(args.convergence))
     else:
+        est = asymptotics.estimate()
         print(json.dumps({"rho": est.rho, "alpha": est.alpha, "C": est.amplitude}))
     return 0
 

@@ -23,7 +23,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count as naturals, islice
-from math import gcd, lcm
+from math import cos, gcd, lcm, pi, sin
 from operator import mul
 
 __all__ = [
@@ -357,6 +357,7 @@ def fit_recurrence(seq, max_order: int | None = None,
 # characteristic roots
 
 _NEWTON_STOP = 1e-14
+_ABERTH_STOP, _ABERTH_SWEEPS = 1e-12, 500
 
 
 def newton_root(poly, x: float) -> float:
@@ -375,30 +376,58 @@ def newton_root(poly, x: float) -> float:
     return x
 
 
+def _roots(poly) -> tuple[tuple[int, ...], list[complex]]:
+    """The squarefree part poly / gcd(poly, poly') of the integer polynomial
+    ``poly`` (lowest coefficient first), and every complex root of ``poly``,
+    repeated by its multiplicity.
+
+    The roots of the squarefree part, all simple, come together by
+    Aberth-Ehrlich iteration (Aberth, Math. Comp. 1973) from a circle of
+    Fujiwara's radius, which encloses them all, until a sweep moves none by
+    more than _ABERTH_STOP * max(1, |root|); the roots of gcd(poly, poly'),
+    the repeated ones, come the same way.  Raises ArithmeticError if
+    _ABERTH_SWEEPS sweeps pass first, so unconverged roots never return.
+    """
+    if len(poly) < 2:
+        return poly, []
+    free = _poly_divexact(poly, poly_gcd(poly, [k * c for k, c in enumerate(poly)][1:]))
+    n, monic = len(free) - 1, [c / free[-1] for c in free]
+    slope = [k * c for k, c in enumerate(monic)][1:]
+    radius = 2 * max(abs(c) ** (1 / k) for k, c in enumerate([*monic[-2:0:-1], monic[0] / 2], 1))
+    z = [radius * complex(cos(t), sin(t)) for t in (2 * pi * k / n + 0.4 for k in range(n))]
+    for _ in range(_ABERTH_SWEEPS):
+        done = True
+        for i, zi in enumerate(z):
+            value = poly_eval(monic, zi)
+            pull = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+            z[i] = zi - value / (poly_eval(slope, zi) - value * pull)
+            done = done and abs(z[i] - zi) <= _ABERTH_STOP * max(1.0, abs(z[i]))
+        if done:
+            return free, z + _roots(_poly_divexact(poly, free))[1]
+    raise ArithmeticError(f"Aberth iteration did not converge in {_ABERTH_SWEEPS} sweeps")
+
+
 def dominant_root(rec) -> float:
     """Largest positive real root of x^d - c_1 x^(d-1) - ... - c_d.
 
     Accepts a RationalGF, read through its ``coefficients``, or a bare
-    coefficient sequence c_1 .. c_d.  The root must be the unique
-    characteristic root of maximal modulus; otherwise NoDominantRoot is
-    raised.  Located via the companion matrix, then polished by
-    :func:`newton_root`.
+    coefficient sequence c_1 .. c_d.  The root must be the unique root of
+    maximal modulus, counted with multiplicity, or NoDominantRoot is raised.
+    Found by :func:`_roots`, then polished on the squarefree part by :func:`newton_root`.
     """
-    import numpy  # a tenth of a second to import; only root finding needs it
-
-    coeffs = [float(c) for c in getattr(rec, "coefficients", rec)]
+    coeffs = [Fraction(c) for c in getattr(rec, "coefficients", rec)]
     if not coeffs:
         raise ValueError("empty coefficient list")
-    char = [1.0] + [-c for c in coeffs]
-    roots = numpy.roots(char)
-    moduli = numpy.abs(roots)
-    top = float(moduli.max())
-    near = roots[moduli > top * (1.0 - 1e-6)]
+    scale = lcm(*(c.denominator for c in coeffs))
+    char = [int(-c * scale) for c in reversed(coeffs)] + [scale]  # lowest first
+    free, roots = _roots(char)
+    top = max(map(abs, roots))
+    near = [z for z in roots if abs(z) > top * (1.0 - 1e-6)]
     if len(near) != 1:
         raise NoDominantRoot(
             f"{len(near)} characteristic roots share the maximal modulus {top:.6g}"
         )
-    candidate = complex(near[0])
+    candidate = near[0]
     if abs(candidate.imag) > 1e-6 * max(1.0, top) or candidate.real <= 0:
         raise NoDominantRoot(f"maximal-modulus root {candidate:.6g} is not positive real")
-    return newton_root(char[::-1], candidate.real)
+    return newton_root(free, candidate.real)

@@ -127,7 +127,7 @@ def test_growth_constants_and_convergence(criterion):
         assert abs(est.rho - 0.6823278038280193) < 5e-11
         assert abs(est.amplitude - 1.5076770638769428) < 5e-11
         assert abs(est.alpha**3 - est.alpha**2 - 1.0) < 1e-10
-        rows = convergence_report(100, est)
+        rows = convergence_report(100)
         assert rows[59].rel_error < 1e-3
         assert rows[99].rel_error < 1e-6
 

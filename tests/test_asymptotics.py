@@ -59,8 +59,9 @@ def test_both_root_finders_polish_once_with_newton_root(monkeypatch):
     assert dominant_singularity() == 0.6823278038280193
     assert calls == [(1, -1, 0, -1)]
     assert dominant_root(gf_m2()) == pytest.approx(1.4655712318767682, abs=1e-12)
-    # x^5 - 3x^4 + 3x^3 - 2x^2 + 2x - 1, lowest coefficient first
-    assert calls[1:] == [(-1.0, 2.0, -2.0, 3.0, -3.0, 1.0)]
+    # x^5 - 3x^4 + 3x^3 - 2x^2 + 2x - 1 = (x - 1)^2 (x^3 - x^2 - 1); the polish runs on
+    # its squarefree part (x - 1)(x^3 - x^2 - 1), lowest coefficient first
+    assert calls[1:] == [(1, -1, 1, -2, 1)]
 
 
 def test_root_identities():

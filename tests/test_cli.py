@@ -274,7 +274,7 @@ def test_probe_json_schema(capsys):
      '{"m": 2, "n_max": 14, "terms": ["1", "2", "5", "8", "12", "18", "26", "37", "53", '
      '"76", "109", "157", "227", "329"], '
      '"fitted": {"order": 5, "coefficients": [3, -3, 2, -2, 1], "valid_from": 7}, '
-     '"alpha_estimate": 1.4655712318767673, "method": "fitted-root"}\n'),
+     '"alpha_estimate": 1.4655712318767682, "method": "fitted-root"}\n'),
 ])
 def test_probe_fitted_output_is_pinned(capsys, m, n_max, expected):
     """The fitted block, valid_from included, byte for byte."""
@@ -342,14 +342,36 @@ def test_pinned_calls_print_recorded_bytes(capsys, monkeypatch):
 
 # ---------------------------------------------------------------- entry point
 
-def test_module_entry_point():
-    # the child interpreter does not see pytest's pythonpath setting
+def child_env():
+    # a child interpreter does not see pytest's pythonpath setting
     src = str(Path(permlip.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "permlip", "count", "-n", "6", "-m", "2",
          "--engine", "brute"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "18"
+
+
+# A None entry in sys.modules makes every import of numpy raise ImportError.
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from permlip.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --suite asymptotics -N 10",
+    "probe -m 1 2 -N 14",
+])
+def test_runs_without_numpy(argv):
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY, *argv.split()],
+                          capture_output=True, text=True, env=child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -4,9 +4,12 @@ import time
 from fractions import Fraction
 from itertools import islice
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from mpmath.libmp import NoConvergence
 
+from permlip import genfunc, split
 from permlip.genfunc import (
     InsufficientData,
     NoDominantRoot,
@@ -375,6 +378,8 @@ def test_gf_recurrence_round_trip(den_tail, num):
 
 def test_dominant_root_examples():
     assert abs(dominant_root(gf_m2()) - 1.4655712318767680) < 1e-11
+    # polished on the squarefree part: within an ulp of the correctly rounded alpha
+    assert abs(dominant_root(gf_m2()) - 1.465571231876768) <= math.ulp(1.465571231876768)
     assert dominant_root([Fraction(1)]) == pytest.approx(1.0, abs=1e-12)
     golden = (1 + math.sqrt(5)) / 2
     assert abs(dominant_root([1, 1]) - golden) < 1e-12
@@ -384,6 +389,73 @@ def test_dominant_root_examples():
     # x^2 - 2x + 1: double root at 1, no unique dominant root
     with pytest.raises(NoDominantRoot):
         dominant_root([2, -1])
+    # (x - 1)^3, (x - 2)^4 and (x - 2)^3: a repeated root is never unique
+    for coeffs in ([3, -3, 1], [8, -24, 32, -16], [6, -12, 8]):
+        with pytest.raises(NoDominantRoot):
+            dominant_root(coeffs)
+
+
+def mpmath_dominant_root(den):
+    """The dominant root of x^d Q(1/x) for the integer Q ``den`` (lowest
+    coefficient first), from mpmath's roots at 50 digits, or None when the
+    roots, counted with multiplicity, tie within 1e-6 of the top modulus or
+    the top one is not positive real.  A repeated root converges only at a
+    higher working precision, so a failed run is repeated with more."""
+    with mp.workdps(50):
+        for extra in (60, 400, 2000):
+            try:
+                roots = mp.polyroots(list(den), maxsteps=800, extraprec=extra)
+                break
+            except NoConvergence:
+                continue
+        else:
+            raise AssertionError(f"mpmath found no roots of {den}")
+        top = max(abs(r) for r in roots)
+        near = [r for r in roots if abs(r) > top * (1 - mp.mpf("1e-6"))]
+        if len(near) != 1 or abs(mp.im(near[0])) > 1e-6 * max(1, top) or mp.re(near[0]) <= 0:
+            return None
+        return float(mp.re(near[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(-9, 9), min_size=1, max_size=20))
+@example(1, [-2, 1])      # (1 - x)^2
+@example(1, [-3, 3, -1])  # (1 - x)^3
+@example(1, [0, 1])       # 1 + x^2, roots +i and -i
+@example(2, [-5, 4, -1])  # (1 - x)^2 (2 - x): the double root is not the top one
+def test_dominant_root_matches_mpmath(lead, tail):
+    gf = RationalGF((1,), (lead, *tail))
+    assume(gf.order >= 1)
+    want = mpmath_dominant_root(gf.denominator)
+    if want is None:
+        with pytest.raises(NoDominantRoot):
+            dominant_root(gf)
+    else:
+        assert dominant_root(gf) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_dominant_root_of_fitted_gfs_matches_mpmath(m):
+    gf = fit_recurrence(list(islice(split.counts(m), 400)))
+    want = mpmath_dominant_root(gf.denominator)
+    assert want is not None
+    assert dominant_root(gf) == pytest.approx(want, rel=1e-12)
+
+
+def test_unconverged_root_search_raises(monkeypatch):
+    # the squarefree part of gf_m2's characteristic polynomial takes 7 sweeps
+    monkeypatch.setattr(genfunc, "_ABERTH_SWEEPS", 2)
+    with pytest.raises(ArithmeticError) as caught:
+        dominant_root(gf_m2())
+    assert not isinstance(caught.value, NoDominantRoot)
+
+
+def test_dominant_root_at_order_52_is_fast():
+    gf = fit_recurrence(list(islice(split.counts(6), 400)))
+    assert gf.order == 52
+    start = time.perf_counter()
+    dominant_root(gf)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_newton_root_examples():
