@@ -12,7 +12,7 @@ from collections import Counter
 from itertools import islice
 
 from .core import split_at_max
-from . import asymptotics, bruteforce, genfunc, m2, split, transfer
+from . import bruteforce, m2, split, transfer
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -152,6 +152,7 @@ def suite_split(n_max: int) -> list[Result]:
 def suite_gf(n_max: int) -> list[Result]:
     """Series, closed form, and recurrence agree; the assembled rational
     function is reduced and correct."""
+    from . import genfunc
     out = []
     A = genfunc.gf_m2()
     B = genfunc.gf_max_first()
@@ -177,6 +178,7 @@ def suite_gf(n_max: int) -> list[Result]:
 def suite_asymptotics(n_max: int) -> list[Result]:
     """Growth constants are mutually consistent and the leading term closes
     in on the exact counts."""
+    from . import asymptotics, genfunc
     out = []
     est = asymptotics.estimate()
     out.append(_check("residual", abs(1 - est.rho - est.rho**3) < 1e-12, f"rho={est.rho!r}"))

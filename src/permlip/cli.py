@@ -6,16 +6,19 @@ large values survive any consumer.  Exit codes: 0 success, 1 a
 verification suite failed or probe saw counts drop as the bound
 loosened, 2 usage error (including a malformed
 ``PERMLIP_CEILING``), 3 brute-force ceiling exceeded.
+
+A command loads only the modules it runs: the generating-function,
+asymptotics and probe code, and ``json``, are imported by the commands and
+routes that use them.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 
-from . import asymptotics, bruteforce, checks, genfunc, m2, probe, split, transfer
+from . import bruteforce, checks, m2, split, transfer
 
 __all__ = ["main"]
 
@@ -24,8 +27,6 @@ FORMATS = ("json", "csv", "bfile", "plain")
 
 _SEARCH = {"brute": bruteforce.count, "transfer": transfer.count}
 
-# bound 1: one permutation of length 1, two of every longer length
-_GF_M1 = genfunc.RationalGF((0, 1, 1), (1, -1))
 _M1_HEAD = (1, 2)  # a_1, a_2; the relation a_n = a_(n-1) holds from n = 3
 
 
@@ -40,6 +41,14 @@ def _regime(n: int, m: int) -> str | None:
     return None
 
 
+def _gf_term(n: int, m: int) -> int:
+    """The n-th coefficient of the rational GF of bound 1 or 2."""
+    from . import genfunc
+    # bound 1: one permutation of length 1, two of every longer length
+    gf = genfunc.RationalGF((0, 1, 1), (1, -1)) if m == 1 else genfunc.gf_m2()
+    return genfunc.nth_coeff(gf, n)
+
+
 # Every exact route, keyed by (regime, engine).  A route maps n to the count
 # at length n, except "terms", the endless stream of counts for n = 1, 2, ...
 # that seq prints.  The closed, recurrence and gf routes of a regime are
@@ -47,11 +56,11 @@ def _regime(n: int, m: int) -> str | None:
 _ROUTES = {
     ("m=1", "closed"): lambda n: 1 if n == 1 else 2,
     ("m=1", "recurrence"): lambda n: _M1_HEAD[min(n, len(_M1_HEAD)) - 1],
-    ("m=1", "gf"): lambda n: genfunc.nth_coeff(_GF_M1, n),
+    ("m=1", "gf"): lambda n: _gf_term(n, 1),
     ("m=1", "terms"): lambda: itertools.chain([1], itertools.repeat(2)),
     ("m=2", "closed"): m2.class_count,
     ("m=2", "recurrence"): m2.class_count_by_recurrence,
-    ("m=2", "gf"): lambda n: genfunc.nth_coeff(genfunc.gf_m2(), n),
+    ("m=2", "gf"): lambda n: _gf_term(n, 2),
     ("m=2", "terms"): m2.class_counts,
     ("catalan", "closed"): bruteforce.catalan,
     ("catalan", "recurrence"): bruteforce.catalan_by_recurrence,
@@ -106,6 +115,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_asym(args) -> int:
+    import json
+    from . import asymptotics
     if args.convergence is not None:
         sys.stdout.write(asymptotics.convergence_csv(args.convergence))
     else:
@@ -115,6 +126,8 @@ def _cmd_asym(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    import json
+    from . import probe
     profiles = [probe.build_profile(m, args.n_max) for m in args.m]
     report = probe.monotonicity_check(profiles)
     for prof in profiles:

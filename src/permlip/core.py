@@ -7,7 +7,7 @@ is the entry at position k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 __all__ = [
@@ -71,17 +71,14 @@ def prefix_extension_ok(prefix, value: int, m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MaxSplit:
+class MaxSplit(namedtuple("MaxSplit", "left position right")):
     """Decomposition word = left + (max,) + right around the maximum entry.
 
     ``position`` is the 1-based position of the maximum.  For a word that
     avoids 132, every entry of ``left`` exceeds every entry of ``right``.
     """
 
-    left: tuple[int, ...]
-    position: int
-    right: tuple[int, ...]
+    __slots__ = ()
 
 
 def split_at_max(word) -> MaxSplit:

@@ -358,6 +358,60 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "18"
 
 
+# Run the CLI on argv (or, with no argv, just import permlip) and print the
+# modules that loaded as the last line of stderr.
+LOADED = """
+import sys
+before = set(sys.modules)
+if len(sys.argv) > 1:
+    from permlip.cli import main
+    code = main(sys.argv[1:])
+else:
+    import permlip
+    code = 0
+sys.stdout.flush()
+print(*sorted(set(sys.modules) - before), file=sys.stderr)
+raise SystemExit(code)
+"""
+
+# Modules that only the gf routes, asym, probe and the gf/asymptotics suites need.
+HEAVY = {"permlip.genfunc", "permlip.asymptotics", "permlip.probe",
+         "dataclasses", "fractions", "json"}
+
+
+def loaded_modules(*argv):
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True,
+                          text=True, env=child_env(), timeout=300)
+    return proc.returncode, set(proc.stderr.splitlines()[-1].split())
+
+
+def test_import_loads_no_submodule():
+    rc, loaded = loaded_modules()
+    assert rc == 0
+    assert "permlip" in loaded
+    assert not [name for name in loaded if name.startswith("permlip.")]
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("count -n 6 -m 2", 0),
+    ("count -n 1000 -m 2 --engine closed", 0),
+    ("seq -m 3 -N 11", 0),
+    ("verify --suite max-first -N 9", 0),
+    ("count -n 10 -m 3 --engine gf", 2),
+])
+def test_light_commands_load_no_heavy_module(argv, code):
+    rc, loaded = loaded_modules(*argv.split())
+    assert rc == code
+    assert "permlip.cli" in loaded
+    assert not loaded & HEAVY, sorted(loaded & HEAVY)
+
+
+def test_probe_loads_genfunc():
+    rc, loaded = loaded_modules("probe", "-m", "3", "-N", "11")
+    assert rc == 0
+    assert {"permlip.genfunc", "permlip.probe", "json"} <= loaded
+
+
 # A None entry in sys.modules makes every import of numpy raise ImportError.
 NO_NUMPY = """
 import sys

@@ -45,6 +45,18 @@ def test_split_examples():
     assert split_at_max((1, 3, 2)) == MaxSplit((1,), 2, (2,))
 
 
+def test_max_split_is_an_immutable_named_triple():
+    piece = split_at_max((2, 3, 1))
+    assert repr(piece) == "MaxSplit(left=(2,), position=2, right=(1,))"
+    assert (piece.left, piece.position, piece.right) == ((2,), 2, (1,))
+    with pytest.raises(AttributeError):
+        piece.position = 1
+    with pytest.raises(AttributeError):
+        piece.extra = 1
+    # a namedtuple: unlike the frozen dataclass it replaced, equal to its plain triple
+    assert piece == ((2,), 2, (1,))
+
+
 @given(permutations_upto(8))
 def test_split_reconstructs(word):
     piece = split_at_max(word)
