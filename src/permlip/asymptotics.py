@@ -11,7 +11,7 @@ fast the exact counts close in on the leading term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .genfunc import newton_root, poly_eval
 from .m2 import class_counts_by_recurrence
@@ -54,21 +54,20 @@ def amplitude(rho: float) -> float:
     return (2.0 * rho - 1.0) / ((1.0 - rho) ** 2 * (1.0 + 3.0 * rho * rho))
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
-    """The growth constants, cross-validated on construction."""
+class AsymptoticEstimate(namedtuple("AsymptoticEstimate", "rho alpha amplitude")):
+    """The growth constants, cross-validated on construction.  A read-only
+    namedtuple, so it is equal to its plain triple (rho, alpha, amplitude)."""
 
-    rho: float
-    alpha: float
-    amplitude: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if abs(poly_eval(_CUBIC, self.rho)) > _TOLERANCE:
-            raise ValueError(f"rho={self.rho!r} is not a root of 1 - x - x^3")
-        if abs(self.alpha * self.rho - 1.0) > _TOLERANCE:
+    def __new__(cls, rho: float, alpha: float, amplitude: float):
+        if abs(poly_eval(_CUBIC, rho)) > _TOLERANCE:
+            raise ValueError(f"rho={rho!r} is not a root of 1 - x - x^3")
+        if abs(alpha * rho - 1.0) > _TOLERANCE:
             raise ValueError("alpha must be the reciprocal of rho")
-        if abs(self.alpha**3 - self.alpha**2 - 1.0) > 10.0 * _TOLERANCE:
+        if abs(alpha**3 - alpha**2 - 1.0) > 10.0 * _TOLERANCE:
             raise ValueError("alpha must satisfy alpha^3 = alpha^2 + 1")
+        return super().__new__(cls, rho, alpha, amplitude)
 
 
 def estimate() -> AsymptoticEstimate:
@@ -83,12 +82,11 @@ def log_asymptotic_value(n: int, est: AsymptoticEstimate) -> float:
     return math.log(est.amplitude) + n * math.log(est.alpha)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    exact: int
-    asymptotic_log: float
-    rel_error: float
+class ConvergenceRow(namedtuple("ConvergenceRow", "n exact asymptotic_log rel_error")):
+    """One length of the convergence table; a read-only namedtuple, so it is
+    equal to its plain tuple."""
+
+    __slots__ = ()
 
     def asymptotic_display(self) -> str:
         """Scientific notation derived from the log, so huge n still prints."""

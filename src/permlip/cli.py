@@ -22,10 +22,10 @@ from . import bruteforce, checks, m2, split, transfer
 
 __all__ = ["main"]
 
-ENGINES = ("brute", "transfer", "closed", "recurrence", "gf")
+ENGINES = ("split", "brute", "transfer", "closed", "recurrence", "gf")
 FORMATS = ("json", "csv", "bfile", "plain")
 
-_SEARCH = {"brute": bruteforce.count, "transfer": transfer.count}
+_SEARCH = {"split": split.count, "brute": bruteforce.count, "transfer": transfer.count}
 
 _M1_HEAD = (1, 2)  # a_1, a_2; the relation a_n = a_(n-1) holds from n = 3
 
@@ -156,10 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact count for one length")
     p.add_argument("-n", type=_positive("n"), required=True, help="permutation length")
     p.add_argument("-m", type=_positive("m"), required=True, help="adjacent-jump bound")
-    p.add_argument("--engine", choices=ENGINES, default="brute",
-                   help="brute search, transfer-matrix count, closed form, linear "
-                        "recurrence, or series extraction (the last three need m in "
-                        "{1, 2}; closed and recurrence also cover m >= n - 1)")
+    p.add_argument("--engine", choices=ENGINES, default="split",
+                   help="decomposition engine (default), brute-force oracle, "
+                        "transfer-matrix count, closed form, linear recurrence, or "
+                        "series extraction (the last three need m in {1, 2}; closed "
+                        "and recurrence also cover m >= n - 1)")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("seq", help="sequence of counts for lengths 1..N")

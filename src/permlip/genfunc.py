@@ -12,16 +12,16 @@ function from terms a_1, a_2, ... and returns it with a_0 = 0.
 
 All arithmetic except root finding is exact, in Python ints.  A Fraction
 appears only for a value that is rational: a coefficient -q_i/q_0, a
-series coefficient that q_0 does not divide, or a Fraction-valued series
-given to ``fit_recurrence``, which scales it to integers once.
+series coefficient that q_0 does not divide, a Fraction-valued series
+given to ``fit_recurrence``, which scales it to integers once, or a bare
+coefficient sequence given to ``dominant_root``.  ``fractions`` is imported
+only where such a value is built.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count as naturals, islice
 from math import cos, gcd, lcm, pi, sin
 from operator import mul
@@ -148,20 +148,19 @@ def _poly_divexact(a, g) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # rational generating functions
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(namedtuple("RationalGF", "numerator denominator")):
     """Ratio of integer polynomials, normalized on construction.
 
     Reduced to lowest terms over the integers (no common polynomial factor,
     no common content) with a positive constant term in the denominator,
-    which must be nonzero so the series at x = 0 exists.
+    which must be nonzero so the series at x = 0 exists.  A read-only
+    namedtuple, so it is equal to its plain pair (numerator, denominator).
     """
 
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        num, den = _trim(self.numerator), _trim(self.denominator)
+    def __new__(cls, numerator, denominator):
+        num, den = _trim(numerator), _trim(denominator)
         if not den or den[0] == 0:
             raise ValueError("denominator needs a nonzero constant term")
         if not num:
@@ -176,8 +175,7 @@ class RationalGF:
         if den[0] < 0:
             num = tuple(-c for c in num)
             den = tuple(-c for c in den)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        return super().__new__(cls, num, den)
 
     @property
     def order(self) -> int:
@@ -187,6 +185,7 @@ class RationalGF:
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         """c_1 .. c_order with a_n = sum_i c_i a_{n-i}: c_i = -q_i / q_0."""
+        from fractions import Fraction
         q0 = self.denominator[0]
         return tuple(Fraction(-qi, q0) for qi in self.denominator[1:])
 
@@ -232,7 +231,10 @@ def gf_m2() -> RationalGF:
 
 def _exact_quotient(a, b: int):
     """a / b as an int when b divides a, else as a Fraction."""
-    return a // b if a % b == 0 else Fraction(a, b)
+    if a % b == 0:
+        return a // b
+    from fractions import Fraction
+    return Fraction(a, b)
 
 
 def series_stream(gf: RationalGF) -> Iterator[int | Fraction]:
@@ -337,7 +339,7 @@ def fit_recurrence(seq, max_order: int | None = None,
     L = len(seq)
     if L < 4:
         raise InsufficientData(f"need at least 4 terms, got {L}")
-    scale = lcm(*(Fraction(x).denominator for x in seq))  # 1 for integer terms
+    scale = lcm(*(x.denominator for x in seq))  # 1 for integer terms
     ints = [int(x * scale) for x in seq]
     c = _berlekamp_massey(ints)
     order = len(c) - 1
@@ -410,16 +412,22 @@ def _roots(poly) -> tuple[tuple[int, ...], list[complex]]:
 def dominant_root(rec) -> float:
     """Largest positive real root of x^d - c_1 x^(d-1) - ... - c_d.
 
-    Accepts a RationalGF, read through its ``coefficients``, or a bare
-    coefficient sequence c_1 .. c_d.  The root must be the unique root of
-    maximal modulus, counted with multiplicity, or NoDominantRoot is raised.
-    Found by :func:`_roots`, then polished on the squarefree part by :func:`newton_root`.
+    Accepts a RationalGF, whose characteristic polynomial is its reversed
+    denominator made primitive (the same integers as scaling its
+    ``coefficients``, with no Fraction), or a bare coefficient sequence
+    c_1 .. c_d.  The root must be the unique root of maximal modulus,
+    counted with multiplicity, or NoDominantRoot is raised.  Found by
+    :func:`_roots`, then polished on the squarefree part by :func:`newton_root`.
     """
-    coeffs = [Fraction(c) for c in getattr(rec, "coefficients", rec)]
-    if not coeffs:
+    if isinstance(rec, RationalGF):
+        char = _primitive(rec.denominator[::-1])  # lowest first
+    else:
+        from fractions import Fraction
+        coeffs = [Fraction(c) for c in rec]
+        scale = lcm(*(c.denominator for c in coeffs))
+        char = [int(-c * scale) for c in reversed(coeffs)] + [scale]  # lowest first
+    if len(char) < 2:
         raise ValueError("empty coefficient list")
-    scale = lcm(*(c.denominator for c in coeffs))
-    char = [int(-c * scale) for c in reversed(coeffs)] + [scale]  # lowest first
     free, roots = _roots(char)
     top = max(map(abs, roots))
     near = [z for z in roots if abs(z) > top * (1.0 - 1e-6)]

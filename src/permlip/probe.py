@@ -12,10 +12,9 @@ hard fact is that counts never drop when the bound loosens.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from collections import namedtuple
 
-from .genfunc import NoDominantRoot, RationalGF, dominant_root, fit_recurrence
+from .genfunc import NoDominantRoot, dominant_root, fit_recurrence
 from .split import head
 
 __all__ = [
@@ -31,24 +30,21 @@ METHOD_FITTED = "fitted-root"
 METHOD_RATIO = "ratio-extrapolation"
 
 
-@dataclass(frozen=True)
-class GrowthProfile:
+class GrowthProfile(namedtuple("GrowthProfile", (
+        "m", "n_max", "terms", "fitted", "alpha_estimate", "estimate_method"))):
     """Everything measured about one jump bound.
 
-    ``fitted`` is the rational generating function guessed from the terms
+    ``terms`` are the counts of lengths 1..n_max.  ``fitted`` is the
+    rational generating function guessed from the terms
     (``fit_recurrence``), or None when none fits; its ``order``,
     ``coefficients`` and ``valid_from`` give the recurrence.
     ``alpha_estimate`` comes from the dominant root of its denominator when
     a fit was found and has one (method "fitted-root"), else from the last
     term ratio, a low-confidence fallback (method "ratio-extrapolation").
+    A read-only namedtuple, so it is equal to its plain tuple of fields.
     """
 
-    m: int
-    n_max: int
-    terms: tuple[int, ...]
-    fitted: RationalGF | None
-    alpha_estimate: float | None
-    estimate_method: str | None
+    __slots__ = ()
 
 
 def build_profile(m: int, n_max: int) -> GrowthProfile:
@@ -76,7 +72,7 @@ def build_profile(m: int, n_max: int) -> GrowthProfile:
     return GrowthProfile(m, n_max, terms, fitted, alpha, method)
 
 
-def _coeff_json(c: Fraction):
+def _coeff_json(c):
     return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -99,18 +95,15 @@ def profile_to_dict(profile: GrowthProfile) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(namedtuple("MonotonicityReport", (
+        "m_values", "n_max", "termwise_ok", "termwise_failures", "alphas",
+        "alphas_strictly_increasing", "alphas_below_catalan_limit"))):
     """Termwise count comparison (hard fact) plus growth-rate observations
-    (reported, never asserted)."""
+    (reported, never asserted).  ``termwise_failures`` holds (lower m,
+    higher m, n, lower count, higher count) tuples.  A read-only
+    namedtuple, so it is equal to its plain tuple of fields."""
 
-    m_values: tuple[int, ...]
-    n_max: int
-    termwise_ok: bool
-    termwise_failures: tuple[tuple[int, int, int, int, int], ...]
-    alphas: tuple[float | None, ...]
-    alphas_strictly_increasing: bool | None
-    alphas_below_catalan_limit: bool | None
+    __slots__ = ()
 
 
 def monotonicity_check(profiles: list[GrowthProfile]) -> MonotonicityReport:
@@ -146,4 +139,4 @@ def monotonicity_check(profiles: list[GrowthProfile]) -> MonotonicityReport:
 
 def report_to_dict(report: MonotonicityReport) -> dict:
     """JSON-ready view: the fields in order (tuples serialize as arrays)."""
-    return asdict(report)
+    return report._asdict()

@@ -78,8 +78,22 @@ def test_estimate_cross_validates_on_construction():
         AsymptoticEstimate(0.5, 2.0, good.amplitude)
     with pytest.raises(ValueError):
         AsymptoticEstimate(good.rho, 1.5, good.amplitude)
+    with pytest.raises(ValueError):
+        AsymptoticEstimate(0.5, 2.0, 1.0)
     # consistent values pass
     AsymptoticEstimate(good.rho, good.alpha, good.amplitude)
+
+
+def test_estimate_is_a_read_only_triple():
+    est = estimate()
+    # a namedtuple: equal to its plain triple
+    assert est == (est.rho, est.alpha, est.amplitude)
+    with pytest.raises(AttributeError):
+        est.rho = 0.5
+    row = convergence_report(3)[-1]
+    assert row == (3, 5, row.asymptotic_log, row.rel_error)
+    with pytest.raises(AttributeError):
+        row.exact = 6
 
 
 def test_amplitude_closed_form():

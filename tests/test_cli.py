@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import permlip
+from permlip import bruteforce
 from permlip.bruteforce import catalan
 from permlip.cli import main
 
@@ -27,9 +28,10 @@ def test_engines_agree_on_small_grid(capsys):
     brute-force search."""
     for n in range(1, 13):
         for m in range(1, 5):
-            rc, brute, _ = run_cli(capsys, "count", "-n", str(n), "-m", str(m))
+            rc, brute, _ = run_cli(capsys, "count", "-n", str(n), "-m", str(m),
+                                   "--engine", "brute")
             assert rc == 0
-            for engine in ("transfer", "closed", "recurrence", "gf"):
+            for engine in ("split", "transfer", "closed", "recurrence", "gf"):
                 rc, out, err = run_cli(capsys, "count", "-n", str(n), "-m", str(m),
                                        "--engine", engine)
                 if rc == 2:
@@ -37,6 +39,18 @@ def test_engines_agree_on_small_grid(capsys):
                     continue
                 assert rc == 0
                 assert out == brute, f"{engine} disagrees at n={n} m={m}"
+
+
+def test_default_count_never_walks(capsys, monkeypatch):
+    """With no --engine, count runs the decomposition engine, never the
+    oracle's search, and still refuses what the search refuses."""
+    def no_walk(*args):
+        raise AssertionError("the default engine ran the brute-force walk")
+    monkeypatch.setattr(bruteforce, "_walk", no_walk)
+    monkeypatch.delenv("PERMLIP_CEILING", raising=False)
+    assert run_cli(capsys, "count", "-n", "12", "-m", "3") == (0, "2841\n", "")
+    assert run_cli(capsys, "count", "-n", "15", "-m", "2") == (
+        3, "", "error: n=15 exceeds brute-force ceiling 14\n")
 
 
 def test_large_count_is_exact(capsys):
@@ -410,6 +424,31 @@ def test_probe_loads_genfunc():
     rc, loaded = loaded_modules("probe", "-m", "3", "-N", "11")
     assert rc == 0
     assert {"permlip.genfunc", "permlip.probe", "json"} <= loaded
+
+
+# dataclasses pulls in inspect, ast, dis and tokenize; fractions pulls in decimal.
+SLOW_STDLIB = {"dataclasses", "fractions"}
+
+
+@pytest.mark.parametrize("argv", [
+    "asym",
+    "asym --convergence 200",
+    "probe -m 3 -N 11",
+    "count -n 1000 -m 2 --engine gf",
+    "verify --suite gf -N 9",
+    "verify --suite asymptotics -N 9",
+])
+def test_exact_commands_load_no_dataclasses_or_fractions(argv):
+    rc, loaded = loaded_modules(*argv.split())
+    assert rc == 0
+    assert not loaded & SLOW_STDLIB, sorted(loaded & SLOW_STDLIB)
+
+
+def test_fitted_probe_loads_no_dataclasses():
+    # the fitted recurrence's coefficients are Fractions, so fractions may load
+    rc, loaded = loaded_modules("probe", "-m", "2", "-N", "14")
+    assert rc == 0
+    assert "permlip.genfunc" in loaded and "dataclasses" not in loaded
 
 
 # A None entry in sys.modules makes every import of numpy raise ImportError.

@@ -121,6 +121,19 @@ def test_gf_normalization():
         RationalGF((1,), ())
 
 
+def test_gf_is_a_read_only_hashable_pair():
+    gf = RationalGF((0, 2, -2), (2, -4, 2))
+    # a namedtuple: equal to its plain, already normalised pair
+    assert gf == ((0, 1), (1, -1))
+    assert hash(gf) == hash(RationalGF((0, 1), (1, -1)))
+    assert {gf: 1}[RationalGF((0, -3), (-3, 3))] == 1
+    for name in ("numerator", "denominator"):
+        with pytest.raises(AttributeError):
+            setattr(gf, name, (1,))
+    with pytest.raises(AttributeError):
+        gf.extra = 1
+
+
 def test_named_gfs_reduced_forms():
     B = gf_max_first()
     assert B.numerator == (0, 1, -1, 1)
@@ -393,6 +406,27 @@ def test_dominant_root_examples():
     for coeffs in ([3, -3, 1], [8, -24, 32, -16], [6, -12, 8]):
         with pytest.raises(NoDominantRoot):
             dominant_root(coeffs)
+
+
+def fraction_char(gf):
+    """The characteristic polynomial, lowest coefficient first, scaled to
+    integers from the Fraction coefficients -q_i/q_0."""
+    coeffs = gf.coefficients
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(-c * scale) for c in reversed(coeffs)) + (scale,)
+
+
+@pytest.mark.parametrize("gf", [
+    gf_m2(), gf_max_first(),
+    RationalGF((1,), (2, -1)),                    # q_0 = 2
+    RationalGF((1,), (4, -2, -6)),                # q_0 = 4, content 2 in Q alone
+    *(fit_recurrence(list(islice(split.counts(m), 400))) for m in range(2, 7)),
+])
+def test_gf_char_poly_needs_no_fraction(gf):
+    """dominant_root reads a RationalGF's characteristic polynomial off the
+    reversed denominator; it is the same list the coefficients give."""
+    assert _primitive(gf.denominator[::-1]) == fraction_char(gf)
+    assert dominant_root(gf) == dominant_root(list(gf.coefficients))
 
 
 def mpmath_dominant_root(den):

@@ -157,3 +157,14 @@ def test_report_dict_round_trips_through_json():
     assert again["termwise_ok"] is True
     assert again["termwise_failures"] == []
     assert len(again["alphas"]) == 2
+
+
+def test_report_dict_keeps_field_order():
+    rep = monotonicity_check([build_profile(m, 8) for m in (1, 2)])
+    assert list(report_to_dict(rep)) == [
+        "m_values", "n_max", "termwise_ok", "termwise_failures", "alphas",
+        "alphas_strictly_increasing", "alphas_below_catalan_limit"]
+    # a namedtuple: equal to its plain tuple of fields
+    assert rep == tuple(report_to_dict(rep).values())
+    with pytest.raises(AttributeError):
+        rep.termwise_ok = False
