@@ -22,10 +22,9 @@ _EXPORTS = {
            "max_last_count", "max_last_perms", "max_second_count", "to_max_first",
            "to_max_second", "zigzag"),
     "genfunc": ("InsufficientData", "NoDominantRoot", "RationalGF", "dominant_root",
-                "fit_recurrence", "gf_m2", "gf_max_first", "newton_root", "nth_coeff",
-                "series_coeffs", "series_stream"),
-    "asymptotics": ("AsymptoticEstimate", "amplitude", "convergence_report",
-                    "dominant_singularity", "estimate"),
+                "fit_recurrence", "gf_m2", "gf_max_first", "nth_coeff", "series_coeffs",
+                "series_stream"),
+    "asymptotics": ("AsymptoticEstimate", "amplitude", "convergence_report", "estimate"),
     "probe": ("GrowthProfile", "MonotonicityReport", "build_profile", "monotonicity_check"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

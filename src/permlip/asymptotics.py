@@ -2,10 +2,11 @@
 
 The class generating function has a simple pole inside the unit disk at
 the unique positive root of 1 - x - x^3; the counts therefore grow like
-amplitude * alpha^n with alpha the reciprocal root.  This module finds
-that root with the package's one Newton polish (``genfunc.newton_root``),
-derives the constants from it to full float precision, and measures how
-fast the exact counts close in on the leading term.
+amplitude * alpha^n with alpha the reciprocal root.  This module reads
+alpha from the package's one root finder, ``genfunc.dominant_root`` of
+``gf_m2()``, derives the constants from it to full float precision,
+checks them against the literal cubic, and measures how fast the exact
+counts close in on the leading term.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .genfunc import newton_root, poly_eval
+from .genfunc import dominant_root, gf_m2, poly_eval
 from .m2 import class_counts_by_recurrence
 
 __all__ = [
@@ -22,7 +23,6 @@ __all__ = [
     "amplitude",
     "convergence_csv",
     "convergence_report",
-    "dominant_singularity",
     "estimate",
     "log_asymptotic_value",
 ]
@@ -31,26 +31,14 @@ CSV_HEADER = "n,exact,asymptotic,rel_error"
 
 _CUBIC = (1, -1, 0, -1)  # 1 - x - x^3, lowest coefficient first
 
-# residual bound on the root and on the constants derived from it
+# residual bound of the checks on rho and alpha against the literal cubic
 _TOLERANCE = 1e-12
-
-
-def dominant_singularity() -> float:
-    """The unique positive root of 1 - x - x^3, in (0, 1).
-
-    The cubic is decreasing and concave on [0, 1], so Newton steps from
-    x = 1 (``genfunc.newton_root``) fall monotonically onto the root; the
-    residual is then checked against ``_TOLERANCE``.
-    """
-    x = newton_root(_CUBIC, 1.0)
-    residual = poly_eval(_CUBIC, x)
-    if abs(residual) > _TOLERANCE:
-        raise ArithmeticError(f"root refinement stalled at residual {residual:.3g}")
-    return x
 
 
 def amplitude(rho: float) -> float:
     """Leading-term amplitude (2 rho - 1) / ((1 - rho)^2 (1 + 3 rho^2))."""
+    # Hand-written, not the general residue -P(rho) / (rho Q'(rho)) of gf_m2():
+    # that differs in its last bits from the C that bench/refs.json pins.
     return (2.0 * rho - 1.0) / ((1.0 - rho) ** 2 * (1.0 + 3.0 * rho * rho))
 
 
@@ -71,8 +59,9 @@ class AsymptoticEstimate(namedtuple("AsymptoticEstimate", "rho alpha amplitude")
 
 
 def estimate() -> AsymptoticEstimate:
-    rho = dominant_singularity()
-    return AsymptoticEstimate(rho, 1.0 / rho, amplitude(rho))
+    alpha = dominant_root(gf_m2())
+    rho = 1.0 / alpha
+    return AsymptoticEstimate(rho, alpha, amplitude(rho))
 
 
 def log_asymptotic_value(n: int, est: AsymptoticEstimate) -> float:

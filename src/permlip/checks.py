@@ -184,9 +184,9 @@ def suite_asymptotics(n_max: int) -> list[Result]:
     out.append(_check("residual", abs(1 - est.rho - est.rho**3) < 1e-12, f"rho={est.rho!r}"))
     out.append(_check("reciprocal", abs(est.alpha * est.rho - 1) < 1e-12, "alpha != 1/rho"))
     out.append(_check("cubic", abs(est.alpha**3 - est.alpha**2 - 1) < 1e-10, "alpha cubic fails"))
-    root = genfunc.dominant_root(genfunc.gf_m2())
+    root = genfunc.dominant_root(genfunc.gf_max_first())  # a separate derivation
     out.append(_check("char root", abs(root - est.alpha) < 1e-9,
-                      f"char poly root {root!r} vs alpha {est.alpha!r}"))
+                      f"max-first char poly root {root!r} vs alpha {est.alpha!r}"))
     rows = asymptotics.convergence_report(max(100, min(n_max, 10**4)))
     by_n = {r.n: r for r in rows}
     out.append(_check("rel error n=60", by_n[60].rel_error < 1e-3,

@@ -36,7 +36,6 @@ __all__ = [
     "gf_m2",
     "gf_max_first",
     "gf_mul",
-    "newton_root",
     "nth_coeff",
     "poly_add",
     "poly_eval",
@@ -362,7 +361,7 @@ _NEWTON_STOP = 1e-14
 _ABERTH_STOP, _ABERTH_SWEEPS = 1e-12, 500
 
 
-def newton_root(poly, x: float) -> float:
+def _newton_root(poly, x: float) -> float:
     """A root of the polynomial ``poly`` (coefficients lowest first) by
     Newton's method from ``x``: stops when a step falls below _NEWTON_STOP
     relative to the root, after at most 60 steps, or at a zero slope."""
@@ -417,7 +416,7 @@ def dominant_root(rec) -> float:
     ``coefficients``, with no Fraction), or a bare coefficient sequence
     c_1 .. c_d.  The root must be the unique root of maximal modulus,
     counted with multiplicity, or NoDominantRoot is raised.  Found by
-    :func:`_roots`, then polished on the squarefree part by :func:`newton_root`.
+    :func:`_roots`, then polished on the squarefree part by :func:`_newton_root`.
     """
     if isinstance(rec, RationalGF):
         char = _primitive(rec.denominator[::-1])  # lowest first
@@ -438,4 +437,4 @@ def dominant_root(rec) -> float:
     candidate = near[0]
     if abs(candidate.imag) > 1e-6 * max(1.0, top) or candidate.real <= 0:
         raise NoDominantRoot(f"maximal-modulus root {candidate:.6g} is not positive real")
-    return newton_root(free, candidate.real)
+    return _newton_root(free, candidate.real)

@@ -170,8 +170,8 @@ def class_counts_by_recurrence() -> Iterator[int]:
 
     Independent of :func:`class_counts`; the two must agree everywhere.
     """
-    yield from (1, 2, 5, 8, 12, 18)
-    a, b, c, d, e = 2, 5, 8, 12, 18  # a(n-5) .. a(n-1)
+    yield from _A_HEAD
+    a, b, c, d, e = _A_HEAD[1:]  # a(n-5) .. a(n-1)
     while True:
         a, b, c, d, e = b, c, d, e, 3 * (e - d) + 2 * (c - b) + a
         yield e

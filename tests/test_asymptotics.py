@@ -11,11 +11,10 @@ from permlip.asymptotics import (
     amplitude,
     convergence_csv,
     convergence_report,
-    dominant_singularity,
     estimate,
     log_asymptotic_value,
 )
-from permlip import asymptotics, genfunc
+from permlip import genfunc
 from permlip.genfunc import dominant_root, gf_m2
 
 
@@ -46,22 +45,21 @@ def test_constants_literal_values():
     assert est.amplitude == 1.5076770638769428
 
 
-def test_both_root_finders_polish_once_with_newton_root(monkeypatch):
+def test_estimate_reads_alpha_from_the_hub(monkeypatch):
     calls = []
-    real = genfunc.newton_root
+    real = genfunc._newton_root
 
     def spy(poly, x):
         calls.append(tuple(poly))
         return real(poly, x)
 
-    monkeypatch.setattr(genfunc, "newton_root", spy)
-    monkeypatch.setattr(asymptotics, "newton_root", spy)
-    assert dominant_singularity() == 0.6823278038280193
-    assert calls == [(1, -1, 0, -1)]
-    assert dominant_root(gf_m2()) == pytest.approx(1.4655712318767682, abs=1e-12)
-    # x^5 - 3x^4 + 3x^3 - 2x^2 + 2x - 1 = (x - 1)^2 (x^3 - x^2 - 1); the polish runs on
-    # its squarefree part (x - 1)(x^3 - x^2 - 1), lowest coefficient first
-    assert calls[1:] == [(1, -1, 1, -2, 1)]
+    monkeypatch.setattr(genfunc, "_newton_root", spy)
+    est = estimate()
+    # x^5 - 3x^4 + 3x^3 - 2x^2 + 2x - 1 = (x - 1)^2 (x^3 - x^2 - 1); the one polish runs
+    # on its squarefree part (x - 1)(x^3 - x^2 - 1), lowest coefficient first
+    assert calls == [(1, -1, 1, -2, 1)]
+    alpha = dominant_root(gf_m2())
+    assert est == (1.0 / alpha, alpha, amplitude(1.0 / alpha))
 
 
 def test_root_identities():
@@ -97,7 +95,7 @@ def test_estimate_is_a_read_only_triple():
 
 
 def test_amplitude_closed_form():
-    rho = dominant_singularity()
+    rho = estimate().rho
     c = amplitude(rho)
     assert c == (2 * rho - 1) / ((1 - rho) ** 2 * (1 + 3 * rho * rho))
 

@@ -4,7 +4,9 @@ failure channel actually reports when fed a broken claim."""
 import pytest
 
 import permlip.checks as checks
+from permlip import genfunc
 from permlip.checks import SUITES, run_suite
+from permlip.genfunc import RationalGF
 
 
 def _failures(results):
@@ -69,6 +71,15 @@ def test_failure_detail_is_specific(monkeypatch):
     monkeypatch.setattr(checks.m2, "max_first_count", lambda n: 99)
     bad = _failures(run_suite("max-first", 6))
     assert any("99" in detail for _, _, detail in bad)
+
+
+def test_char_root_check_compares_the_max_first_gf(monkeypatch):
+    # a max-first GF whose dominant root is 2, not alpha
+    monkeypatch.setattr(genfunc, "gf_max_first", lambda: RationalGF((0, 1), (1, -2)))
+    bad = _failures(run_suite("asymptotics", 10))
+    assert [name for name, _, _ in bad] == ["char root"]
+    detail = bad[0][2]
+    assert "2.0" in detail and "1.4655712318767682" in detail
 
 
 def test_transfer_suite_reports_disagreement(monkeypatch):

@@ -14,6 +14,7 @@ from permlip.genfunc import (
     InsufficientData,
     NoDominantRoot,
     RationalGF,
+    _newton_root,
     _poly_divexact,
     _primitive,
     dominant_root,
@@ -22,7 +23,6 @@ from permlip.genfunc import (
     gf_m2,
     gf_max_first,
     gf_mul,
-    newton_root,
     nth_coeff,
     poly_add,
     poly_eval,
@@ -493,9 +493,9 @@ def test_dominant_root_at_order_52_is_fast():
 
 
 def test_newton_root_examples():
-    root = newton_root((-2, 0, 1), 1.0)  # x^2 - 2, lowest coefficient first
+    root = _newton_root((-2, 0, 1), 1.0)  # x^2 - 2, lowest coefficient first
     assert abs(root - math.sqrt(2)) <= math.ulp(math.sqrt(2))
-    assert newton_root((-2.0, 0.0, 1.0), -1.0) == pytest.approx(-math.sqrt(2), rel=1e-15)
+    assert _newton_root((-2.0, 0.0, 1.0), -1.0) == pytest.approx(-math.sqrt(2), rel=1e-15)
     # a zero slope at the start leaves x where it is instead of dividing by it
-    assert newton_root((-2, 0, 1), 0.0) == 0.0
-    assert newton_root((5,), 3.0) == 3.0  # a constant has no slope anywhere
+    assert _newton_root((-2, 0, 1), 0.0) == 0.0
+    assert _newton_root((5,), 3.0) == 3.0  # a constant has no slope anywhere
