@@ -10,9 +10,11 @@ so a relation may validly start at an index at or below its order when the
 early terms happen to extend by zeros.  ``fit_recurrence`` guesses that
 function from terms a_1, a_2, ... and returns it with a_0 = 0.
 
-All arithmetic except root finding is exact, in Python ints.  A Fraction
-appears only for a value that is rational: a coefficient -q_i/q_0, a
-series coefficient that q_0 does not divide, a Fraction-valued series
+All arithmetic except root finding is exact, in Python ints.  Series
+extraction turns each factor 1 - x of Q into a running sum, skips zero
+taps of the rest and adds or subtracts at unit taps.  A Fraction appears
+only for a value that is rational: a coefficient -q_i/q_0, a series
+coefficient that q_0 does not divide, a Fraction-valued series
 given to ``fit_recurrence``, which scales it to integers once, or a bare
 coefficient sequence given to ``dominant_root``.  ``fractions`` is imported
 only where such a value is built.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from collections.abc import Iterator
-from itertools import count as naturals, islice
+from itertools import chain, compress, islice, repeat
 from math import cos, gcd, lcm, pi, sin
 from operator import mul
 
@@ -239,19 +241,36 @@ def _exact_quotient(a, b: int):
 def series_stream(gf: RationalGF) -> Iterator[int | Fraction]:
     """Series coefficients a_0, a_1, ... of ``gf`` at x = 0, without end.
 
-    Convolution driven by the denominator over a window of the last deg Q
-    coefficients; exact.  The arithmetic stays in ints and only divides by
-    the denominator's constant term when that is not 1, so coefficients
-    that are integers come back as ints and anything else as a Fraction.
+    Q splits as (1 - x)^k R.  The series of P/R comes from a convolution
+    over a window of its last deg R coefficients that skips zero taps of R,
+    adds or subtracts at taps of -1 or 1 and multiplies only at the others;
+    k running sums turn it into the series of P/Q.  Exact: the arithmetic
+    stays in ints and divides by q_0 only when that is not 1, so
+    coefficients that are integers come back as ints and anything else as
+    a Fraction.
     """
     p, q = gf.numerator, gf.denominator
-    q0, tail = q[0], q[:0:-1]  # q_d .. q_1, aligned with the window
-    window = deque([0] * len(tail), maxlen=len(tail))  # a_{n-d} .. a_{n-1}
-    for n in naturals():
-        acc = (p[n] if n < len(p) else 0) - sum(map(mul, tail, window))
-        val = acc if q0 == 1 else _exact_quotient(acc, q0)
-        window.append(val)
-        yield val
+    sums = []
+    while not sum(q):  # Q(1) = 0: a factor 1 - x, one running sum
+        q = _poly_divexact(q, (1, -1))
+        sums.append(0)
+    q0, tail = q[0], q[:0:-1]  # r_d .. r_1, aligned with the window
+    adds = [i for i, c in enumerate(tail) if c == -1]
+    subs = [i for i, c in enumerate(tail) if c == 1]
+    dense = [c not in (-1, 0, 1) for c in tail]
+    taps = tuple(compress(tail, dense))
+    window = deque([0] * len(tail), maxlen=len(tail))  # b_{n-d} .. b_{n-1} of P/R
+    for acc in chain(p, repeat(0)):
+        for i in adds:
+            acc += window[i]
+        for i in subs:
+            acc -= window[i]
+        if taps:
+            acc -= sum(map(mul, taps, compress(window, dense)))
+        window.append(acc if q0 == 1 else _exact_quotient(acc, q0))
+        for i, s in enumerate(sums):  # q_0 times the running sums
+            acc = sums[i] = s + acc
+        yield acc if q0 == 1 else _exact_quotient(acc, q0)
 
 
 def series_coeffs(gf: RationalGF, count: int) -> list[int | Fraction]:

@@ -51,6 +51,19 @@ def relation_holds_from(gf, seq, start):
     return all(predicted(n) == seq[n - 1] for n in range(start, len(seq) + 1))
 
 
+def reference_series(gf, count):
+    """a_0 .. a_{count-1} straight from q_0 a_n = p_n - sum_{i >= 1} q_i a_{n-i}
+    over the whole expanded denominator: the definition, sharing no code
+    with series_stream.  An integral value is an int, any other a Fraction."""
+    p, q = gf.numerator, gf.denominator
+    out = []
+    for n in range(count):
+        acc = (p[n] if n < len(p) else 0) - sum(
+            q[i] * out[n - i] for i in range(1, min(len(q), n + 1)))
+        out.append(acc // q[0] if acc % q[0] == 0 else Fraction(acc, q[0]))
+    return out
+
+
 def test_poly_ring_examples():
     assert poly_mul((1, -1), (1, -1, 0, -1)) == (1, -2, 1, -1, 1)
     assert poly_mul(poly_mul((1, -1), (1, -1)), (1, -1, 0, -1)) == (1, -3, 3, -2, 2, -1)
@@ -173,9 +186,9 @@ def test_series_coefficient_types():
 
 def test_nth_coeff_matches_series():
     for gf in (gf_m2(), gf_max_first(), GF_M1):
-        series = series_coeffs(gf, 301)
+        series = reference_series(gf, 301)
         assert [nth_coeff(gf, n) for n in range(301)] == series
-    assert nth_coeff(gf_m2(), 1000) == series_coeffs(gf_m2(), 1001)[1000]
+    assert nth_coeff(gf_m2(), 1000) == reference_series(gf_m2(), 1001)[1000]
     with pytest.raises(ValueError):
         nth_coeff(gf_m2(), -1)
 
@@ -192,9 +205,44 @@ def test_nth_coeff_matches_series():
 @example([1], 2, [-1], 0)
 def test_nth_coeff_property(num, q0, den_tail, n):
     gf = RationalGF(tuple(num), (q0, *den_tail))
-    value, expected = nth_coeff(gf, n), series_coeffs(gf, n + 1)[n]
+    value, expected = nth_coeff(gf, n), reference_series(gf, n + 1)[n]
     assert value == expected
     assert type(value) is type(expected)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(0, 3),
+    st.sampled_from([1, -1, 2, -2, 3, -3]),
+    st.lists(st.integers(-4, 4), max_size=5),
+    st.lists(st.integers(-4, 4), max_size=6),
+)
+@example(3, 1, [], [1])            # (1 - x)^3 alone: nothing left to convolve
+@example(1, 2, [-1], [1])          # (1 - x)(2 - x): q_0 = 2 with Q(1) = 0
+@example(2, 1, [-1, 0, -1], [])    # P = 0
+@example(2, 1, [-1, 0, -1], [0, 1, -1, 2, -3, 1, -1])  # gf_m2
+def test_series_matches_the_full_convolution(k, q0, tail, num):
+    """Q = (1 - x)^k R with taps of R that are 0, 1, -1 or larger: the
+    stream equals the definition in value and in type."""
+    den = (q0, *tail)
+    for _ in range(k):
+        den = poly_mul(den, (1, -1))
+    gf = RationalGF(tuple(num), den)
+    want = reference_series(gf, 60)
+    for got in (list(islice(series_stream(gf), 60)), series_coeffs(gf, 60)):
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_fitted_series_matches_the_full_convolution(m):
+    """The fitted denominators for m >= 3 are dense, so these series run
+    the multiplying taps of the kernel."""
+    gf = fit_recurrence(list(islice(split.counts(m), 200)))
+    assert gf is not None
+    assert sum(abs(c) > 1 for c in gf.denominator) > gf.order // 3
+    count = 2 * gf.order + 50
+    assert series_coeffs(gf, count) == reference_series(gf, count)
 
 
 def test_series_matches_closed_form_deep():
