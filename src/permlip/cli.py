@@ -133,7 +133,7 @@ def _cmd_probe(args) -> int:
     for prof in profiles:
         print(json.dumps(probe.profile_to_dict(prof)))
     if len(profiles) > 1:
-        print(json.dumps(probe.report_to_dict(report)))
+        print(json.dumps(report._asdict()))
     return 0 if report.termwise_ok else 1
 
 

@@ -12,12 +12,13 @@ function from terms a_1, a_2, ... and returns it with a_0 = 0.
 
 All arithmetic except root finding is exact, in Python ints.  Series
 extraction turns each factor 1 - x of Q into a running sum, skips zero
-taps of the rest and adds or subtracts at unit taps.  A Fraction appears
-only for a value that is rational: a coefficient -q_i/q_0, a series
-coefficient that q_0 does not divide, a Fraction-valued series
-given to ``fit_recurrence``, which scales it to integers once, or a bare
-coefficient sequence given to ``dominant_root``.  ``fractions`` is imported
-only where such a value is built.
+taps of the rest and adds or subtracts at unit taps; a single coefficient
+is x^n mod Q (reversed), by the Fiduccia kernel in ``m2``, applied to a
+few of them.  A Fraction appears only for a value that is rational: a
+coefficient -q_i/q_0, a series coefficient that q_0 does not divide, a
+Fraction-valued series given to ``fit_recurrence``, which scales it to
+integers once, or a bare coefficient sequence given to ``dominant_root``.
+``fractions`` is imported only where such a value is built.
 """
 
 from __future__ import annotations
@@ -284,23 +285,23 @@ def series_coeffs(gf: RationalGF, count: int) -> list[int | Fraction]:
 def nth_coeff(gf: RationalGF, n: int) -> int | Fraction:
     """Series coefficient a_n of ``gf`` at x = 0, without the ones before it.
 
-    Bostan and Mori's halving ("A simple and fast algorithm for computing
-    the N-th term of a linearly recurrent sequence", SOSA 2021): multiply
-    P/Q through by Q(-x), which makes the denominator even, Q(x)Q(-x) =
-    V(x^2); then a_n of P/Q is the coefficient n // 2 of U_r/V, where U_r
-    collects the terms of P(x)Q(-x) of the parity r of n.  That is
-    O(log n) products of polynomials of degree about deg Q, in ints.  An
-    integer comes back as an int, anything else as a Fraction.
+    Q A = P gives sum_i q_i a_{j-i} = 0 for j >= len(P), so from s =
+    max(0, len(P) - order) on the terms obey a_j = sum_i (-q_i/q_0) a_{j-i},
+    and a_n is x^(n-s) mod the reversed denominator (Fiduccia, by
+    ``m2._x_pow_mod``) applied to a_s .. a_{s+order-1}: O(log n) products
+    of polynomials of degree below deg Q.  An integer comes back as an
+    int, anything else as a Fraction.
     """
+    from .m2 import _x_pow_mod
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    p, q = gf.numerator, gf.denominator
-    while n:
-        q_neg = tuple(-c if i % 2 else c for i, c in enumerate(q))
-        p = poly_mul(p[:n + 1], q_neg)[n % 2::2]  # terms past x^n never reach a_n
-        q = poly_mul(q, q_neg)[::2]
-        n //= 2
-    return _exact_quotient(p[0] if p else 0, q[0])
+    s = max(0, len(gf.numerator) - gf.order)
+    head = series_coeffs(gf, s + gf.order)
+    if n < len(head):
+        return head[n]
+    tail = tuple(_exact_quotient(-c, gf.denominator[0]) for c in gf.denominator[1:])
+    value = sum(map(mul, _x_pow_mod(n - s, tail), head[s:]))
+    return _exact_quotient(value.numerator, value.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ squarings of a polynomial of degree below 3 or 5, so the n-th size costs a
 few products of O(n)-digit integers.  The streams of all sizes hold only a
 sliding window of the last few terms and serve as independent checks on
 those readouts.  Nothing is cached between calls.
+
+``_x_pow_mod`` is also the kernel of ``genfunc.nth_coeff``.  It lives here
+because every CLI command loads this module but the light ones never load
+``genfunc``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ def _x_pow_mod(k: int, tail: tuple[int, ...]) -> tuple[int, ...]:
     the bits of k.
 
     If u(j) = tail[0]u(j-1) + ... + tail[d-1]u(j-d) for every j >= s + d,
-    then u(s + k) = sum(c[i] * u(s + i)) for these coefficients c.
+    then u(s + k) = sum(c[i] * u(s + i)) for these coefficients c, which
+    are Fractions if the tail is.  An empty tail gives x^k mod 1 = ().
     """
     d = len(tail)
 
@@ -67,7 +72,7 @@ def _x_pow_mod(k: int, tail: tuple[int, ...]) -> tuple[int, ...]:
                     p[i - j] += t * p[i]
         return tuple(p[:d])
 
-    c = (1,) + (0,) * (d - 1)
+    c = (1,) + (0,) * (d - 1) if d else ()
     for bit in bin(k)[2:]:
         sq = [0] * (2 * d - 1)
         for i, ci in enumerate(c):

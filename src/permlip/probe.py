@@ -23,7 +23,6 @@ __all__ = [
     "build_profile",
     "monotonicity_check",
     "profile_to_dict",
-    "report_to_dict",
 ]
 
 METHOD_FITTED = "fitted-root"
@@ -135,8 +134,3 @@ def monotonicity_check(profiles: list[GrowthProfile]) -> MonotonicityReport:
     return MonotonicityReport(
         tuple(ms), n_max, not failures, tuple(failures), alphas, increasing, below
     )
-
-
-def report_to_dict(report: MonotonicityReport) -> dict:
-    """JSON-ready view: the fields in order (tuples serialize as arrays)."""
-    return report._asdict()

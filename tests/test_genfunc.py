@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import time
@@ -234,15 +235,32 @@ def test_series_matches_the_full_convolution(k, q0, tail, num):
         assert [type(v) for v in got] == [type(v) for v in want]
 
 
+@functools.cache
+def fitted_gf(m):
+    return fit_recurrence(list(islice(split.counts(m), 200)))
+
+
 @pytest.mark.parametrize("m", range(3, 9))
 def test_fitted_series_matches_the_full_convolution(m):
     """The fitted denominators for m >= 3 are dense, so these series run
-    the multiplying taps of the kernel."""
-    gf = fit_recurrence(list(islice(split.counts(m), 200)))
+    the multiplying taps of the kernel, and nth_coeff a full-width tail."""
+    gf = fitted_gf(m)
     assert gf is not None
     assert sum(abs(c) > 1 for c in gf.denominator) > gf.order // 3
     count = 2 * gf.order + 50
-    assert series_coeffs(gf, count) == reference_series(gf, count)
+    want = reference_series(gf, count)
+    assert series_coeffs(gf, count) == want
+    for k in (0, gf.order, gf.valid_from, count - 1):
+        assert nth_coeff(gf, k) == want[k]
+
+
+def test_nth_coeff_takes_logarithmic_steps_at_high_order():
+    gf = fitted_gf(8)  # order 93
+    start = time.perf_counter()
+    value = nth_coeff(gf, 2000)
+    # about 0.03 s by doubling; Bostan-Mori halving took about 5 s
+    assert time.perf_counter() - start < 0.5
+    assert value == series_coeffs(gf, 2001)[2000]
 
 
 def test_series_matches_closed_form_deep():

@@ -13,7 +13,6 @@ from permlip.probe import (
     build_profile,
     monotonicity_check,
     profile_to_dict,
-    report_to_dict,
 )
 
 
@@ -152,7 +151,7 @@ def test_monotonicity_flags_violations():
 
 def test_report_dict_round_trips_through_json():
     rep = monotonicity_check([build_profile(m, 8) for m in (1, 2)])
-    again = json.loads(json.dumps(report_to_dict(rep)))
+    again = json.loads(json.dumps(rep._asdict()))
     assert again["m_values"] == [1, 2]
     assert again["termwise_ok"] is True
     assert again["termwise_failures"] == []
@@ -161,10 +160,10 @@ def test_report_dict_round_trips_through_json():
 
 def test_report_dict_keeps_field_order():
     rep = monotonicity_check([build_profile(m, 8) for m in (1, 2)])
-    assert list(report_to_dict(rep)) == [
+    assert list(rep._asdict()) == [
         "m_values", "n_max", "termwise_ok", "termwise_failures", "alphas",
         "alphas_strictly_increasing", "alphas_below_catalan_limit"]
     # a namedtuple: equal to its plain tuple of fields
-    assert rep == tuple(report_to_dict(rep).values())
+    assert rep == tuple(rep._asdict().values())
     with pytest.raises(AttributeError):
         rep.termwise_ok = False
