@@ -76,7 +76,7 @@ def _cmd_count(args) -> int:
         route = _ROUTES.get((_regime(n, m), args.engine))
         if route is None:
             print(f"error: engine {args.engine!r} has no exact route for n={n}, m={m}; "
-                  "try --engine brute", file=sys.stderr)
+                  "try --engine split, the default", file=sys.stderr)
             return 2
         value = route(n)
     print(value)

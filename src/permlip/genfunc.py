@@ -5,20 +5,19 @@ Conventions.  A polynomial is a tuple of ints indexed by degree with no
 trailing zeros; the zero polynomial is the empty tuple.  Sequences are
 1-indexed: ``seq[0]`` holds the term a_1.  A rational generating function
 P/Q is also its constant-coefficient linear recurrence: a_n = sum_i
-(-q_i/q_0) a_{n-i} from some index on, read with a_k = 0 for every k <= 0,
+(-q_i) a_{n-i} from some index on, read with a_k = 0 for every k <= 0,
 so a relation may validly start at an index at or below its order when the
 early terms happen to extend by zeros.  ``fit_recurrence`` guesses that
 function from terms a_1, a_2, ... and returns it with a_0 = 0.
 
-All arithmetic except root finding is exact, in Python ints.  Series
+Every GF here has integer coefficients, and a rational power series with
+integer coefficients reduces to P/Q with Q(0) = 1 (Fatou, Acta Math. 1906),
+so ``RationalGF`` refuses any other constant term.  All arithmetic except
+root finding is then exact in Python ints, with no division.  Series
 extraction turns each factor 1 - x of Q into a running sum, skips zero
 taps of the rest and adds or subtracts at unit taps; a single coefficient
 is x^n mod Q (reversed), by the Fiduccia kernel in ``m2``, applied to a
-few of them.  A Fraction appears only for a value that is rational: a
-coefficient -q_i/q_0, a series coefficient that q_0 does not divide, a
-Fraction-valued series given to ``fit_recurrence``, which scales it to
-integers once, or a bare coefficient sequence given to ``dominant_root``.
-``fractions`` is imported only where such a value is built.
+few of them.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from collections.abc import Iterator
 from itertools import chain, compress, islice, repeat
-from math import cos, gcd, lcm, pi, sin
-from operator import mul
+from math import cos, gcd, pi, sin
+from operator import index, mul
 
 __all__ = [
     "InsufficientData",
@@ -91,7 +90,7 @@ def poly_mul(a, b) -> tuple[int, ...]:
 
 
 def poly_eval(a, x):
-    """Horner evaluation; exact when x is a Fraction or int."""
+    """Horner evaluation; exact when x is an int or another exact rational."""
     acc = 0
     for c in reversed(a):
         acc = acc * x + c
@@ -154,9 +153,11 @@ class RationalGF(namedtuple("RationalGF", "numerator denominator")):
     """Ratio of integer polynomials, normalized on construction.
 
     Reduced to lowest terms over the integers (no common polynomial factor,
-    no common content) with a positive constant term in the denominator,
-    which must be nonzero so the series at x = 0 exists.  A read-only
-    namedtuple, so it is equal to its plain pair (numerator, denominator).
+    no common content) with a positive constant term in the denominator.
+    That term must then be 1: Q(0) = 0 leaves no series at x = 0, and any
+    other value gives a series that is not integral (Fatou's lemma), so
+    both raise ValueError.  A read-only namedtuple, so it is equal to its
+    plain pair (numerator, denominator).
     """
 
     __slots__ = ()
@@ -177,6 +178,9 @@ class RationalGF(namedtuple("RationalGF", "numerator denominator")):
         if den[0] < 0:
             num = tuple(-c for c in num)
             den = tuple(-c for c in den)
+        if den[0] != 1:
+            raise ValueError(f"reduced denominator has constant term {den[0]}, not 1: "
+                             "the series is not integral")
         return super().__new__(cls, num, den)
 
     @property
@@ -185,22 +189,20 @@ class RationalGF(namedtuple("RationalGF", "numerator denominator")):
         return len(self.denominator) - 1
 
     @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        """c_1 .. c_order with a_n = sum_i c_i a_{n-i}: c_i = -q_i / q_0."""
-        from fractions import Fraction
-        q0 = self.denominator[0]
-        return tuple(Fraction(-qi, q0) for qi in self.denominator[1:])
+    def coefficients(self) -> tuple[int, ...]:
+        """c_1 .. c_order with a_n = sum_i c_i a_{n-i}: c_i = -q_i."""
+        return tuple(-qi for qi in self.denominator[1:])
 
     @property
     def valid_from(self) -> int:
         """First n >= 1 from which the recurrence holds for a_1, a_2, ...
 
-        With a_0 read as 0 the series is P/Q - p_0/q_0, whose numerator
-        q_0 P - p_0 Q has degree below valid_from.
+        With a_0 read as 0 the series is P/Q - p_0, whose numerator
+        P - p_0 Q has degree below valid_from.
         """
         p, q = self.numerator, self.denominator
         p0 = p[0] if p else 0
-        return max(1, len(poly_sub([q[0] * c for c in p], [p0 * c for c in q])))
+        return max(1, len(poly_sub(p, [p0 * c for c in q])))
 
 
 def gf_add(a: RationalGF, b: RationalGF) -> RationalGF:
@@ -231,31 +233,21 @@ def gf_m2() -> RationalGF:
                       poly_mul(poly_mul((1, -1), (1, -1)), (1, -1, 0, -1)))
 
 
-def _exact_quotient(a, b: int):
-    """a / b as an int when b divides a, else as a Fraction."""
-    if a % b == 0:
-        return a // b
-    from fractions import Fraction
-    return Fraction(a, b)
-
-
-def series_stream(gf: RationalGF) -> Iterator[int | Fraction]:
+def series_stream(gf: RationalGF) -> Iterator[int]:
     """Series coefficients a_0, a_1, ... of ``gf`` at x = 0, without end.
 
     Q splits as (1 - x)^k R.  The series of P/R comes from a convolution
     over a window of its last deg R coefficients that skips zero taps of R,
     adds or subtracts at taps of -1 or 1 and multiplies only at the others;
-    k running sums turn it into the series of P/Q.  Exact: the arithmetic
-    stays in ints and divides by q_0 only when that is not 1, so
-    coefficients that are integers come back as ints and anything else as
-    a Fraction.
+    k running sums turn it into the series of P/Q.  Exact, in ints, with
+    no division: R(0) = Q(0) = 1.
     """
     p, q = gf.numerator, gf.denominator
     sums = []
     while not sum(q):  # Q(1) = 0: a factor 1 - x, one running sum
         q = _poly_divexact(q, (1, -1))
         sums.append(0)
-    q0, tail = q[0], q[:0:-1]  # r_d .. r_1, aligned with the window
+    tail = q[:0:-1]  # r_d .. r_1, aligned with the window
     adds = [i for i, c in enumerate(tail) if c == -1]
     subs = [i for i, c in enumerate(tail) if c == 1]
     dense = [c not in (-1, 0, 1) for c in tail]
@@ -268,13 +260,13 @@ def series_stream(gf: RationalGF) -> Iterator[int | Fraction]:
             acc -= window[i]
         if taps:
             acc -= sum(map(mul, taps, compress(window, dense)))
-        window.append(acc if q0 == 1 else _exact_quotient(acc, q0))
-        for i, s in enumerate(sums):  # q_0 times the running sums
+        window.append(acc)
+        for i, s in enumerate(sums):
             acc = sums[i] = s + acc
-        yield acc if q0 == 1 else _exact_quotient(acc, q0)
+        yield acc
 
 
-def series_coeffs(gf: RationalGF, count: int) -> list[int | Fraction]:
+def series_coeffs(gf: RationalGF, count: int) -> list[int]:
     """First ``count`` series coefficients a_0 .. a_{count-1}, the head of
     :func:`series_stream`."""
     if count < 0:
@@ -282,15 +274,14 @@ def series_coeffs(gf: RationalGF, count: int) -> list[int | Fraction]:
     return list(islice(series_stream(gf), count))
 
 
-def nth_coeff(gf: RationalGF, n: int) -> int | Fraction:
+def nth_coeff(gf: RationalGF, n: int) -> int:
     """Series coefficient a_n of ``gf`` at x = 0, without the ones before it.
 
     Q A = P gives sum_i q_i a_{j-i} = 0 for j >= len(P), so from s =
-    max(0, len(P) - order) on the terms obey a_j = sum_i (-q_i/q_0) a_{j-i},
-    and a_n is x^(n-s) mod the reversed denominator (Fiduccia, by
-    ``m2._x_pow_mod``) applied to a_s .. a_{s+order-1}: O(log n) products
-    of polynomials of degree below deg Q.  An integer comes back as an
-    int, anything else as a Fraction.
+    max(0, len(P) - order) on the terms obey a_j = sum_i c_i a_{j-i} with
+    the ``coefficients`` c_i = -q_i, and a_n is x^(n-s) mod the reversed
+    denominator (Fiduccia, by ``m2._x_pow_mod``) applied to a_s ..
+    a_{s+order-1}: O(log n) products of polynomials of degree below deg Q.
     """
     from .m2 import _x_pow_mod
     if n < 0:
@@ -299,9 +290,7 @@ def nth_coeff(gf: RationalGF, n: int) -> int | Fraction:
     head = series_coeffs(gf, s + gf.order)
     if n < len(head):
         return head[n]
-    tail = tuple(_exact_quotient(-c, gf.denominator[0]) for c in gf.denominator[1:])
-    value = sum(map(mul, _x_pow_mod(n - s, tail), head[s:]))
-    return _exact_quotient(value.numerator, value.denominator)
+    return sum(map(mul, _x_pow_mod(n - s, gf.coefficients), head[s:]))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +335,9 @@ def fit_recurrence(seq, max_order: int | None = None,
     For L terms that rule alone keeps order + valid_from at most L - 1; a
     given ``max_order`` also caps the order deg C, and a given
     ``max_offset`` caps valid_from at 1 + max_offset.  Returns P/C,
-    reduced, or None when nothing fits.
+    reduced, or None when nothing fits, including a fit whose reduced
+    C(0) is not 1: it predicts terms that are not integers.  The terms
+    must be ints; anything else raises TypeError.
 
     Berlekamp-Massey returns the shortest register, which is only pinned
     down by the data once it holds at least twice the register's length
@@ -358,8 +349,7 @@ def fit_recurrence(seq, max_order: int | None = None,
     L = len(seq)
     if L < 4:
         raise InsufficientData(f"need at least 4 terms, got {L}")
-    scale = lcm(*(x.denominator for x in seq))  # 1 for integer terms
-    ints = [int(x * scale) for x in seq]
+    ints = [index(x) for x in seq]
     c = _berlekamp_massey(ints)
     order = len(c) - 1
     if order < 1 or (max_order is not None and order > max_order):
@@ -370,8 +360,11 @@ def fit_recurrence(seq, max_order: int | None = None,
     valid_from = max(1, len(p))
     if (max_offset is not None and valid_from > 1 + max_offset) or L - 1 - valid_from < order:
         return None
-    gf = RationalGF(p, [scale * x for x in c])
-    return gf if series_coeffs(gf, L + 1)[1:] == list(seq) else None
+    try:
+        gf = RationalGF(p, c)
+    except ValueError:  # reduced C(0) is not 1
+        return None
+    return gf if series_coeffs(gf, L + 1)[1:] == ints else None
 
 
 # ---------------------------------------------------------------------------
@@ -432,23 +425,18 @@ def dominant_root(rec) -> float:
     """Largest positive real root of x^d - c_1 x^(d-1) - ... - c_d.
 
     Accepts a RationalGF, whose characteristic polynomial is its reversed
-    denominator made primitive (the same integers as scaling its
-    ``coefficients``, with no Fraction), or a bare coefficient sequence
-    c_1 .. c_d.  The root must be the unique root of maximal modulus,
-    counted with multiplicity, or NoDominantRoot is raised.  Found by
-    :func:`_roots`, then polished on the squarefree part by :func:`_newton_root`.
+    denominator, or a nonempty sequence of ints c_1 .. c_d, read as the GF
+    1 / (1 - c_1 x - ... - c_d x^d); an empty one raises ValueError.  The
+    root must be the unique root of maximal modulus, counted with
+    multiplicity, or NoDominantRoot is raised, as it is when every root is
+    0.  Found by :func:`_roots`, then polished on the squarefree part by
+    :func:`_newton_root`.
     """
-    if isinstance(rec, RationalGF):
-        char = _primitive(rec.denominator[::-1])  # lowest first
-    else:
-        from fractions import Fraction
-        coeffs = [Fraction(c) for c in rec]
-        scale = lcm(*(c.denominator for c in coeffs))
-        char = [int(-c * scale) for c in reversed(coeffs)] + [scale]  # lowest first
-    if len(char) < 2:
+    if not rec:  # a RationalGF, a pair, is never empty
         raise ValueError("empty coefficient list")
-    free, roots = _roots(char)
-    top = max(map(abs, roots))
+    gf = rec if isinstance(rec, RationalGF) else RationalGF((1,), (1, *(-c for c in rec)))
+    free, roots = _roots(gf.denominator[::-1])  # lowest first
+    top = max(map(abs, roots), default=0.0)
     near = [z for z in roots if abs(z) > top * (1.0 - 1e-6)]
     if len(near) != 1:
         raise NoDominantRoot(

@@ -60,8 +60,8 @@ def _x_pow_mod(k: int, tail: tuple[int, ...]) -> tuple[int, ...]:
     the bits of k.
 
     If u(j) = tail[0]u(j-1) + ... + tail[d-1]u(j-d) for every j >= s + d,
-    then u(s + k) = sum(c[i] * u(s + i)) for these coefficients c, which
-    are Fractions if the tail is.  An empty tail gives x^k mod 1 = ().
+    then u(s + k) = sum(c[i] * u(s + i)) for these coefficients c.  An
+    empty tail gives x^k mod 1 = ().
     """
     d = len(tail)
 

@@ -71,17 +71,13 @@ def build_profile(m: int, n_max: int) -> GrowthProfile:
     return GrowthProfile(m, n_max, terms, fitted, alpha, method)
 
 
-def _coeff_json(c):
-    return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def profile_to_dict(profile: GrowthProfile) -> dict:
     """JSON-ready view; counts as decimal strings so nothing is rounded."""
     fitted = None
     if profile.fitted is not None:
         fitted = {
             "order": profile.fitted.order,
-            "coefficients": [_coeff_json(c) for c in profile.fitted.coefficients],
+            "coefficients": list(profile.fitted.coefficients),
             "valid_from": profile.fitted.valid_from,
         }
     return {

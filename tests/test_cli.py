@@ -96,9 +96,14 @@ def test_transfer_engine_at_the_ceiling(capsys):
 def test_no_route_is_usage_error(capsys):
     # gf has no Catalan route: the Catalan generating function is not rational
     for argv in (["-n", "10", "-m", "3", "--engine", "closed"],
+                 ["-n", "10", "-m", "3", "--engine", "gf"],
                  ["-n", "5", "-m", "10", "--engine", "gf"]):
         rc, out, err = run_cli(capsys, "count", *argv)
-        assert rc == 2 and out == "" and "no exact route" in err and "brute" in err
+        assert rc == 2 and out == "" and "no exact route" in err
+        # the hint names the default engine, not the exponential oracle
+        assert "try --engine split" in err and "brute" not in err
+        rc, out, _ = run_cli(capsys, "count", *argv[:4])  # and it answers
+        assert rc == 0 and out == f"{bruteforce.count(int(argv[1]), int(argv[3]))}\n"
 
 
 def test_ceiling_exit_code(capsys):
@@ -434,6 +439,8 @@ SLOW_STDLIB = {"dataclasses", "fractions"}
     "asym",
     "asym --convergence 200",
     "probe -m 3 -N 11",
+    "probe -m 2 -N 14",
+    "probe -m 1 2 -N 14",
     "count -n 1000 -m 2 --engine gf",
     "verify --suite gf -N 9",
     "verify --suite asymptotics -N 9",
@@ -442,13 +449,6 @@ def test_exact_commands_load_no_dataclasses_or_fractions(argv):
     rc, loaded = loaded_modules(*argv.split())
     assert rc == 0
     assert not loaded & SLOW_STDLIB, sorted(loaded & SLOW_STDLIB)
-
-
-def test_fitted_probe_loads_no_dataclasses():
-    # the fitted recurrence's coefficients are Fractions, so fractions may load
-    rc, loaded = loaded_modules("probe", "-m", "2", "-N", "14")
-    assert rc == 0
-    assert "permlip.genfunc" in loaded and "dataclasses" not in loaded
 
 
 # A None entry in sys.modules makes every import of numpy raise ImportError.
