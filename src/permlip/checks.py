@@ -23,38 +23,36 @@ def _check(name: str, cond: bool, detail: str) -> Result:
     return (name, True, "") if cond else (name, False, detail)
 
 
-def suite_max_position(n_max: int, m: int | None = None) -> list[Result]:
+def suite_max_position(n_max: int, m: int) -> list[Result]:
     """The maximum sits in the first m positions or last; all realizable
     positions are realized."""
     out = []
-    for bound in [m] if m is not None else [1, 2, 3, 4]:
-        for n in range(1, n_max + 1):
-            census = bruteforce.max_position_census(n, bound)
-            allowed = set(range(1, min(bound, n) + 1)) | {n}
-            support = set(census)
+    for n in range(1, n_max + 1):
+        census = bruteforce.max_position_census(n, m)
+        allowed = set(range(1, min(m, n) + 1)) | {n}
+        support = set(census)
+        out.append(_check(
+            f"support n={n} m={m}", support <= allowed,
+            f"positions {sorted(support - allowed)} occur but are forbidden"))
+        if n >= 2:
+            required = set(range(1, min(m, n - 1) + 1)) | {n}
             out.append(_check(
-                f"support n={n} m={bound}", support <= allowed,
-                f"positions {sorted(support - allowed)} occur but are forbidden"))
-            if n >= 2:
-                required = set(range(1, min(bound, n - 1) + 1)) | {n}
-                out.append(_check(
-                    f"realized n={n} m={bound}", required <= support,
-                    f"positions {sorted(required - support)} never occur"))
+                f"realized n={n} m={m}", required <= support,
+                f"positions {sorted(required - support)} never occur"))
     return out
 
 
-def suite_transfer(n_max: int, m: int | None = None) -> list[Result]:
+def suite_transfer(n_max: int, m: int) -> list[Result]:
     """The transfer-matrix counter and the decomposition engine each agree
     with the brute-force oracle."""
     out = []
-    for bound in [m] if m is not None else [1, 2, 3, 4]:
-        for n, by_split in enumerate(split.head(n_max, bound), start=1):
-            oracle = bruteforce.count(n, bound)
-            wrong = [f"{name} {value}" for name, value in
-                     (("transfer", transfer.count(n, bound)), ("split", by_split))
-                     if value != oracle]
-            out.append(_check(f"count n={n} m={bound}", not wrong,
-                              f"{', '.join(wrong)}, oracle {oracle}"))
+    for n, by_split in enumerate(split.head(n_max, m), start=1):
+        oracle = bruteforce.count(n, m)
+        wrong = [f"{name} {value}" for name, value in
+                 (("transfer", transfer.count(n, m)), ("split", by_split))
+                 if value != oracle]
+        out.append(_check(f"count n={n} m={m}", not wrong,
+                          f"{', '.join(wrong)}, oracle {oracle}"))
     return out
 
 
@@ -229,7 +227,8 @@ def run_suite(name: str, n_max: int, m: int | None = None) -> list[Result]:
     if n_max < smallest:
         raise ValueError(f"suite {name!r} checks nothing below N={smallest}, got N={n_max}")
     if name in BOUNDED:
-        return SUITES[name](n_max, m)
+        return [r for bound in ([m] if m is not None else [1, 2, 3, 4])
+                for r in SUITES[name](n_max, bound)]
     if m not in (None, 2):
         raise ValueError(f"suite {name!r} checks m = 2 only, got m={m}; "
                          f"only {' and '.join(BOUNDED)} take a bound")

@@ -152,36 +152,30 @@ def _poly_divexact(a, g) -> tuple[int, ...]:
 class RationalGF(namedtuple("RationalGF", "numerator denominator")):
     """Ratio of integer polynomials, normalized on construction.
 
-    Reduced to lowest terms over the integers (no common polynomial factor,
-    no common content) with a positive constant term in the denominator.
-    That term must then be 1: Q(0) = 0 leaves no series at x = 0, and any
-    other value gives a series that is not integral (Fatou's lemma), so
-    both raise ValueError.  A read-only namedtuple, so it is equal to its
-    plain pair (numerator, denominator).
+    Every entry must be an int (TypeError otherwise).  The pair is reduced
+    by its polynomial gcd, taken as Q itself when P = 0, so the zero GF is
+    0/1; then both polynomials are divided by the reduced constant term
+    q_0.  That division must be exact, leaving Q(0) = 1: Q(0) = 0 leaves no
+    series at x = 0, and otherwise the series is not integral (Fatou's
+    lemma), so both raise ValueError.  A reduced P/Q with Q(0) = 1 is
+    unique.  A read-only namedtuple, so it is equal to its plain pair
+    (numerator, denominator).
     """
 
     __slots__ = ()
 
     def __new__(cls, numerator, denominator):
-        num, den = _trim(numerator), _trim(denominator)
+        num, den = _trim(map(index, numerator)), _trim(map(index, denominator))
         if not den or den[0] == 0:
             raise ValueError("denominator needs a nonzero constant term")
-        if not num:
-            num, den = (), (1,)
-        else:
-            g = poly_gcd(num, den)
-            if len(g) > 1:
-                num, den = _poly_divexact(num, g), _poly_divexact(den, g)
-            content = gcd(*num, *den)
-            num = tuple(c // content for c in num)
-            den = tuple(c // content for c in den)
-        if den[0] < 0:
-            num = tuple(-c for c in num)
-            den = tuple(-c for c in den)
-        if den[0] != 1:
-            raise ValueError(f"reduced denominator has constant term {den[0]}, not 1: "
+        g = poly_gcd(num, den)  # Q's primitive part when P = 0
+        num, den = _poly_divexact(num, g), _poly_divexact(den, g)
+        q0 = den[0]
+        if any(c % q0 for c in chain(num, den)):
+            reduced = abs(q0) // gcd(*num, *den)
+            raise ValueError(f"reduced denominator has constant term {reduced}, not 1: "
                              "the series is not integral")
-        return super().__new__(cls, num, den)
+        return super().__new__(cls, tuple(c // q0 for c in num), tuple(c // q0 for c in den))
 
     @property
     def order(self) -> int:
@@ -354,9 +348,7 @@ def fit_recurrence(seq, max_order: int | None = None,
     order = len(c) - 1
     if order < 1 or (max_order is not None and order > max_order):
         return None
-    # coefficient of x^(j+1) in (a_1 x + a_2 x^2 + ...) * C, for j < L
-    p = _trim([0] + [sum(c[i] * ints[j - i] for i in range(min(order, j) + 1))
-                     for j in range(L)])
+    p = _trim(poly_mul(c, (0, *ints))[:L + 1])  # (a_1 x + a_2 x^2 + ...) * C, to x^L
     valid_from = max(1, len(p))
     if (max_offset is not None and valid_from > 1 + max_offset) or L - 1 - valid_from < order:
         return None

@@ -26,25 +26,18 @@ __all__ = ["count"]
 def count(n: int, m: int) -> int:
     """Number of length-n permutations avoiding 132 with all jumps <= m.
 
-    Exact, by summing over layers of merged prefix states.  Refuses the
-    same arguments as ``bruteforce.count``, including lengths above the
+    Exact, by summing over layers of merged prefix states, each keyed by
+    the tuple (unused, last, low): the unused values as a bitmask (bit v
+    for value v), the last entry and the running minimum.  Refuses the same
+    arguments as ``bruteforce.count``, including lengths above the
     brute-force ceiling.
     """
     _check_args(n, m)
-    # A state packs into one int: from the top, the unused-value bitmask
-    # (bit v for value v), the last entry and the running minimum, the two
-    # entries taking `width` bits each.
-    width = n.bit_length()
-    field = (1 << width) - 1
     everything = ((1 << n) - 1) << 1
-    layer = {(((everything ^ (1 << v)) << width | v) << width) | v: 1
-             for v in range(1, n + 1)}
+    layer = {(everything ^ (1 << v), v, v): 1 for v in range(1, n + 1)}
     for _ in range(n - 1):
-        grown: dict[int, int] = {}
-        for state, ways in layer.items():
-            low = state & field
-            last = (state >> width) & field
-            unused = state >> (2 * width)
+        grown: dict[tuple[int, int, int], int] = {}
+        for (unused, last, low), ways in layer.items():
             choices = [v for v in range(max(1, last - m), low) if unused >> v & 1]
             above = unused >> (low + 1) << (low + 1)
             if above:
@@ -52,7 +45,7 @@ def count(n: int, m: int) -> int:
                 if abs(v - last) <= m:
                     choices.append(v)
             for v in choices:
-                key = (((unused ^ (1 << v)) << width | v) << width) | min(low, v)
+                key = (unused ^ (1 << v), v, min(low, v))
                 grown[key] = grown.get(key, 0) + ways
         layer = grown
     return sum(layer.values())

@@ -61,8 +61,9 @@ def test_catalan_routes_agree():
     assert catalan(10) == math.comb(20, 10) // 11
     for n in (*range(0, 15), 100, 1000):
         assert catalan(n) == catalan_by_recurrence(n)
-    with pytest.raises(ValueError):
-        catalan(-1)
+    for route in (catalan, catalan_by_recurrence):
+        with pytest.raises(ValueError):
+            route(-1)
 
 
 def test_census_examples():

@@ -97,3 +97,13 @@ def test_split_suite_walks_the_oracle_once_per_length(monkeypatch):
         monkeypatch.setattr(checks.bruteforce, name, lambda *args: pytest.fail("second walk"))
     assert _failures(run_suite("split", 10)) == []
     assert walked == list(range(3, 11))
+
+
+def test_split_suite_reports_a_broken_separation(monkeypatch):
+    # swap the blocks around the maximum: the left one no longer dominates
+    real = checks.split_at_max
+    monkeypatch.setattr(checks, "split_at_max",
+                        lambda w: real(w)._replace(left=real(w).right, right=real(w).left))
+    bad = _failures(run_suite("split", 6))
+    assert bad == [(f"separation n={n}", False, "left does not dominate right")
+                   for n in range(3, 7)]

@@ -132,6 +132,13 @@ def test_gf_normalization():
         RationalGF((1,), (0, 1))                  # pole at the origin
     with pytest.raises(ValueError):
         RationalGF((1,), ())
+    for num, den in (((), (0.5,)),               # checked under a zero numerator too
+                     ((0.5,), (1,)),
+                     ((1,), (1, 0.5)),
+                     ((Fraction(1, 2),), (1, -1)),
+                     ((), (1, Fraction(1)))):
+        with pytest.raises(TypeError):
+            RationalGF(num, den)
 
 
 def test_gf_refuses_a_series_that_is_not_integral():
@@ -143,6 +150,8 @@ def test_gf_refuses_a_series_that_is_not_integral():
                      ((1,), (-4, 2, 6))):        # content 2 in Q alone
         with pytest.raises(ValueError, match="not integral"):
             RationalGF(num, den)
+    with pytest.raises(ValueError, match="constant term 2, not 1"):
+        RationalGF((2,), (-4, 2))                # named after content and sign are out
     assert RationalGF((2,), (2, -2)) == RationalGF((1,), (1, -1))
     assert RationalGF((-3,), (-3, 3, 6)) == ((1,), (1, -1, -2))
 

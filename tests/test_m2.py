@@ -92,6 +92,8 @@ def test_max_first_family_matches_oracle():
         built = max_first_perms(n)
         assert len(built) == max_first_count(n)
         assert sorted(built) == sorted(oracle_family(n, "first")), n
+    with pytest.raises(ValueError):
+        max_first_perms(0)
 
 
 def test_zigzag_words():

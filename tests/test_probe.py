@@ -43,6 +43,17 @@ def test_bound_two_short_run_falls_back_to_ratio():
     assert p.alpha_estimate == pytest.approx(76 / 53)
 
 
+def test_fit_without_a_dominant_root_falls_back_to_ratio(monkeypatch):
+    # 1 / (1 - x^2) has roots 1 and -1 of equal modulus
+    import permlip.probe as probe
+    from permlip.genfunc import RationalGF
+    monkeypatch.setattr(probe, "fit_recurrence", lambda terms: RationalGF((1,), (1, 0, -1)))
+    p = build_profile(2, 14)
+    assert p.fitted == ((1,), (1, 0, -1))
+    assert p.estimate_method == METHOD_RATIO
+    assert p.alpha_estimate == p.terms[-1] / p.terms[-2]
+
+
 def test_bound_three_profile():
     p = build_profile(3, 12)
     assert p.terms == (1, 2, 5, 14, 28, 55, 108, 214, 412, 787, 1497, 2841)
