@@ -3,16 +3,13 @@ re-checked at runtime against the brute-force oracle.
 
 Each suite returns (name, ok, detail) triples; a detail string is only
 filled in on failure.  Suites are keyed by the names the command line
-exposes.
+exposes; each imports only the modules it checks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import islice
-
-from .core import split_at_max
-from . import bruteforce, m2, split, transfer
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -26,6 +23,7 @@ def _check(name: str, cond: bool, detail: str) -> Result:
 def suite_max_position(n_max: int, m: int) -> list[Result]:
     """The maximum sits in the first m positions or last; all realizable
     positions are realized."""
+    from . import bruteforce
     out = []
     for n in range(1, n_max + 1):
         census = bruteforce.max_position_census(n, m)
@@ -45,6 +43,7 @@ def suite_max_position(n_max: int, m: int) -> list[Result]:
 def suite_transfer(n_max: int, m: int) -> list[Result]:
     """The transfer-matrix counter and the decomposition engine each agree
     with the brute-force oracle."""
+    from . import bruteforce, split, transfer
     out = []
     for n, by_split in enumerate(split.head(n_max, m), start=1):
         oracle = bruteforce.count(n, m)
@@ -59,6 +58,7 @@ def suite_transfer(n_max: int, m: int) -> list[Result]:
 def suite_max_last(n_max: int) -> list[Result]:
     """Constructed max-last family matches the oracle and has the stated
     rigid shape."""
+    from . import bruteforce, m2
     out = []
     for n in range(2, n_max + 1):
         built = m2.max_last_perms(n)
@@ -83,6 +83,7 @@ def suite_max_last(n_max: int) -> list[Result]:
 def suite_max_second(n_max: int) -> list[Result]:
     """Dropping the top two entries bijects max-second members onto the
     max-first family two sizes down."""
+    from . import bruteforce, m2
     out = []
     for n in range(3, n_max + 1):
         oracle = [w for w in bruteforce.members(n, 2) if w[1] == n]
@@ -103,6 +104,7 @@ def suite_max_first(n_max: int) -> list[Result]:
     """Recursive construction of max-first members matches the oracle; the
     excluded second/third-entry pattern never occurs; the zigzag is pinned
     down by its first three entries."""
+    from . import bruteforce, m2
     out = []
     for n in range(1, n_max + 1):
         built = m2.max_first_perms(n)
@@ -127,6 +129,7 @@ def suite_split(n_max: int) -> list[Result]:
     """Three-way split by maximum position is exhaustive and the family
     sizes assemble the total; left block dominates right block.  One walk
     of the oracle per n gives the census, the total and the separation."""
+    from . import bruteforce, core, m2
     out = []
     for n in range(3, n_max + 1):
         words = bruteforce.members(n, 2)
@@ -140,7 +143,7 @@ def suite_split(n_max: int) -> list[Result]:
             f"oracle {(first, second, last)}"))
         separated = True
         for w in words:
-            piece = split_at_max(w)
+            piece = core.split_at_max(w)
             if piece.left and piece.right and min(piece.left) <= max(piece.right):
                 separated = False
         out.append(_check(f"separation n={n}", separated, "left does not dominate right"))
@@ -150,7 +153,7 @@ def suite_split(n_max: int) -> list[Result]:
 def suite_gf(n_max: int) -> list[Result]:
     """Series, closed form, and recurrence agree; the assembled rational
     function is reduced and correct."""
-    from . import genfunc
+    from . import genfunc, m2
     out = []
     A = genfunc.gf_m2()
     B = genfunc.gf_max_first()

@@ -7,9 +7,10 @@ verification suite failed or probe saw counts drop as the bound
 loosened, 2 usage error (including a malformed
 ``PERMLIP_CEILING``), 3 brute-force ceiling exceeded.
 
-A command loads only the modules it runs: the generating-function,
-asymptotics and probe code, and ``json``, are imported by the commands and
-routes that use them.
+A command loads only the modules it runs.  Only ``bruteforce`` is imported
+up front, because ``main`` catches its CeilingExceeded; every engine, route
+and suite imports its module on first call, so ``count -n 6 -m 2`` loads
+``split``, ``bruteforce`` and ``core`` and nothing else of the package.
 """
 
 from __future__ import annotations
@@ -17,15 +18,27 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from importlib import import_module
 
-from . import bruteforce, checks, m2, split, transfer
+from . import bruteforce
 
 __all__ = ["main"]
 
 ENGINES = ("split", "brute", "transfer", "closed", "recurrence", "gf")
 FORMATS = ("json", "csv", "bfile", "plain")
+# sorted(checks.SUITES) and checks.BOUNDED, spelled out so the parser loads no suite
+SUITES = ("asymptotics", "gf", "max-first", "max-last", "max-position", "max-second",
+          "split", "transfer")
+BOUNDED = ("max-position", "transfer")
 
-_SEARCH = {"split": split.count, "brute": bruteforce.count, "transfer": transfer.count}
+
+def _lazy(module: str, name: str):
+    """``module.name`` as a callable that imports the module on first call."""
+    return lambda *args: getattr(import_module(f".{module}", __package__), name)(*args)
+
+
+_SEARCH = {"split": _lazy("split", "count"), "brute": bruteforce.count,
+           "transfer": _lazy("transfer", "count")}
 
 _M1_HEAD = (1, 2)  # a_1, a_2; the relation a_n = a_(n-1) holds from n = 3
 
@@ -58,10 +71,10 @@ _ROUTES = {
     ("m=1", "recurrence"): lambda n: _M1_HEAD[min(n, len(_M1_HEAD)) - 1],
     ("m=1", "gf"): lambda n: _gf_term(n, 1),
     ("m=1", "terms"): lambda: itertools.chain([1], itertools.repeat(2)),
-    ("m=2", "closed"): m2.class_count,
-    ("m=2", "recurrence"): m2.class_count_by_recurrence,
+    ("m=2", "closed"): _lazy("m2", "class_count"),
+    ("m=2", "recurrence"): _lazy("m2", "class_count_by_recurrence"),
     ("m=2", "gf"): lambda n: _gf_term(n, 2),
-    ("m=2", "terms"): m2.class_counts,
+    ("m=2", "terms"): _lazy("m2", "class_counts"),
     ("catalan", "closed"): bruteforce.catalan,
     ("catalan", "recurrence"): bruteforce.catalan_by_recurrence,
     ("catalan", "terms"): lambda: itertools.islice(bruteforce.catalan_numbers(), 1, None),
@@ -88,7 +101,8 @@ def _cmd_seq(args) -> int:
     # streamed: a few terms in memory at once; the decomposition engine is
     # held to the search ceiling before anything is written
     route = _ROUTES.get((_regime(n_max, m), "terms"))
-    terms = itertools.islice(route(), n_max) if route is not None else split.head(n_max, m)
+    terms = (itertools.islice(route(), n_max) if route is not None
+             else _lazy("split", "head")(n_max, m))
     if args.format == "json":
         out.write(f'{{"m": {m}, "n_max": {n_max}, "terms": [')
         for n, t in enumerate(terms):
@@ -102,6 +116,7 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import checks
     results = checks.run_suite(args.suite, args.n_max, args.m)
     failures = [r for r in results if not r[1]]
     for name, ok, detail in results:
@@ -170,10 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_seq)
 
     p = sub.add_parser("verify", help="run a falsification suite against the oracle")
-    p.add_argument("--suite", choices=sorted(checks.SUITES), required=True)
+    p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("-N", "--n-max", dest="n_max", type=_positive("N"), default=10)
     p.add_argument("-m", type=_positive("m"), default=None,
-                   help=f"jump bound for the {' and '.join(checks.BOUNDED)} suites "
+                   help=f"jump bound for the {' and '.join(BOUNDED)} suites "
                         "(default: sweep 1..4); the others check m = 2 only and "
                         "refuse any other bound")
     p.set_defaults(func=_cmd_verify)

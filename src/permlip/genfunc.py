@@ -132,6 +132,8 @@ def poly_gcd(a, b) -> tuple[int, ...]:
 def _poly_divexact(a, g) -> tuple[int, ...]:
     """a / g by integer long division, for a nonzero g that divides a with
     an integral quotient; raises ValueError otherwise."""
+    if g == (1,):
+        return _trim(a)
     rem = list(_trim(a))
     quot = [0] * max(0, len(rem) - len(g) + 1)
     for shift in reversed(range(len(quot))):

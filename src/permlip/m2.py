@@ -19,7 +19,7 @@ sliding window of the last few terms and serve as independent checks on
 those readouts.  Nothing is cached between calls.
 
 ``_x_pow_mod`` is also the kernel of ``genfunc.nth_coeff``.  It lives here
-because every CLI command loads this module but the light ones never load
+because the closed and recurrence routes run it and must not load
 ``genfunc``.
 """
 

@@ -4,7 +4,7 @@ failure channel actually reports when fed a broken claim."""
 import pytest
 
 import permlip.checks as checks
-from permlip import genfunc
+from permlip import bruteforce, core, genfunc, m2, transfer
 from permlip.checks import SUITES, run_suite
 from permlip.genfunc import RationalGF
 
@@ -59,7 +59,7 @@ def test_m2_suites_refuse_other_bounds(name):
 
 def test_failure_channel_reports(monkeypatch):
     # sabotage the closed-form count; the suite must notice, not crash
-    monkeypatch.setattr(checks.m2, "max_last_count", lambda n: n)
+    monkeypatch.setattr(m2, "max_last_count", lambda n: n)
     results = run_suite("max-last", 8)
     bad = _failures(results)
     assert bad, "sabotaged claim went unreported"
@@ -68,7 +68,7 @@ def test_failure_channel_reports(monkeypatch):
 
 
 def test_failure_detail_is_specific(monkeypatch):
-    monkeypatch.setattr(checks.m2, "max_first_count", lambda n: 99)
+    monkeypatch.setattr(m2, "max_first_count", lambda n: 99)
     bad = _failures(run_suite("max-first", 6))
     assert any("99" in detail for _, _, detail in bad)
 
@@ -83,7 +83,7 @@ def test_char_root_check_compares_the_max_first_gf(monkeypatch):
 
 
 def test_transfer_suite_reports_disagreement(monkeypatch):
-    monkeypatch.setattr(checks.transfer, "count", lambda n, m: 0)
+    monkeypatch.setattr(transfer, "count", lambda n, m: 0)
     bad = _failures(run_suite("transfer", 5, 3))
     assert [name for name, _, _ in bad] == [f"count n={n} m=3" for n in range(1, 6)]
     assert all("oracle" in detail for _, _, detail in bad)
@@ -91,18 +91,18 @@ def test_transfer_suite_reports_disagreement(monkeypatch):
 
 def test_split_suite_walks_the_oracle_once_per_length(monkeypatch):
     walked = []
-    real = checks.bruteforce.members
-    monkeypatch.setattr(checks.bruteforce, "members", lambda n, m: walked.append(n) or real(n, m))
+    real = bruteforce.members
+    monkeypatch.setattr(bruteforce, "members", lambda n, m: walked.append(n) or real(n, m))
     for name in ("count", "max_position_census"):
-        monkeypatch.setattr(checks.bruteforce, name, lambda *args: pytest.fail("second walk"))
+        monkeypatch.setattr(bruteforce, name, lambda *args: pytest.fail("second walk"))
     assert _failures(run_suite("split", 10)) == []
     assert walked == list(range(3, 11))
 
 
 def test_split_suite_reports_a_broken_separation(monkeypatch):
     # swap the blocks around the maximum: the left one no longer dominates
-    real = checks.split_at_max
-    monkeypatch.setattr(checks, "split_at_max",
+    real = core.split_at_max
+    monkeypatch.setattr(core, "split_at_max",
                         lambda w: real(w)._replace(left=real(w).right, right=real(w).left))
     bad = _failures(run_suite("split", 6))
     assert bad == [(f"separation n={n}", False, "left does not dominate right")

@@ -242,13 +242,22 @@ def test_verify_with_nothing_to_check_is_usage_error(capsys, suite, n_max, small
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    import permlip.cli as cli
-    monkeypatch.setattr(cli.checks, "run_suite",
+    import permlip.checks
+    monkeypatch.setattr(permlip.checks, "run_suite",
                         lambda *a: [("fake claim", False, "broke on purpose")])
     rc, out, err = run_cli(capsys, "verify", "--suite", "gf")
     assert rc == 1
     assert "FAIL gf: fake claim (broke on purpose)" in out
     assert "first failure" in err
+
+
+def test_parser_suite_names_match_the_suites():
+    """The parser's --suite choices and -m help are spelled out in cli, so
+    building it loads no suite; they must name exactly the suites there are."""
+    import permlip.checks as checks
+    import permlip.cli as cli
+    assert cli.SUITES == tuple(sorted(checks.SUITES))
+    assert cli.BOUNDED == checks.BOUNDED
 
 
 # ---------------------------------------------------------------- asym / probe
@@ -411,17 +420,32 @@ def test_import_loads_no_submodule():
     assert not [name for name in loaded if name.startswith("permlip.")]
 
 
+# The package modules each light command loads, exactly: a module-level
+# import of code that a command does not run shows up here.
+BASE = {"permlip", "permlip.cli", "permlip.bruteforce", "permlip.core"}
+PACKAGE_LOADED = {
+    "count -n 6 -m 2": BASE | {"permlip.split"},
+    "count -n 1000 -m 2 --engine closed": BASE | {"permlip.m2"},
+    "seq -m 3 -N 11": BASE | {"permlip.split"},
+    "verify --suite max-position -N 9": BASE | {"permlip.checks"},
+    "verify --suite max-first -N 9": BASE | {"permlip.checks", "permlip.m2"},
+    "count -n 10 -m 3 --engine gf": BASE,
+}
+
+
 @pytest.mark.parametrize("argv, code", [
     ("count -n 6 -m 2", 0),
     ("count -n 1000 -m 2 --engine closed", 0),
     ("seq -m 3 -N 11", 0),
+    ("verify --suite max-position -N 9", 0),
     ("verify --suite max-first -N 9", 0),
     ("count -n 10 -m 3 --engine gf", 2),
 ])
 def test_light_commands_load_no_heavy_module(argv, code):
     rc, loaded = loaded_modules(*argv.split())
     assert rc == code
-    assert "permlip.cli" in loaded
+    assert {name for name in loaded if name.partition(".")[0] == "permlip"} == (
+        PACKAGE_LOADED[argv])
     assert not loaded & HEAVY, sorted(loaded & HEAVY)
 
 
