@@ -15,7 +15,6 @@ import math
 from collections import namedtuple
 
 from .genfunc import dominant_root, gf_m2, poly_eval
-from .m2 import class_counts_by_recurrence
 
 __all__ = [
     "AsymptoticEstimate",
@@ -91,6 +90,7 @@ def convergence_report(n_max: int) -> list[ConvergenceRow]:
     Relative error is computed in log space, so the comparison stays
     finite even when both sides dwarf the float range.
     """
+    from .m2 import class_counts_by_recurrence
     if not 1 <= n_max <= 10**4:
         raise ValueError(f"n_max must lie in 1..10000, got {n_max}")
     est = estimate()

@@ -364,40 +364,23 @@ def fit_recurrence(seq, max_order: int | None = None,
 # ---------------------------------------------------------------------------
 # characteristic roots
 
-_NEWTON_STOP = 1e-14
 _ABERTH_STOP, _ABERTH_SWEEPS = 1e-12, 500
 
 
-def _newton_root(poly, x: float) -> float:
-    """A root of the polynomial ``poly`` (coefficients lowest first) by
-    Newton's method from ``x``: stops when a step falls below _NEWTON_STOP
-    relative to the root, after at most 60 steps, or at a zero slope."""
-    slope = [k * c for k, c in enumerate(poly)][1:]
-    for _ in range(60):
-        d = poly_eval(slope, x)
-        if d == 0:
-            break
-        step = poly_eval(poly, x) / d
-        x -= step
-        if abs(step) < _NEWTON_STOP * max(1.0, abs(x)):
-            break
-    return x
+def _roots(poly) -> list[complex]:
+    """Every complex root of the integer polynomial ``poly`` (lowest
+    coefficient first), repeated by its multiplicity.
 
-
-def _roots(poly) -> tuple[tuple[int, ...], list[complex]]:
-    """The squarefree part poly / gcd(poly, poly') of the integer polynomial
-    ``poly`` (lowest coefficient first), and every complex root of ``poly``,
-    repeated by its multiplicity.
-
-    The roots of the squarefree part, all simple, come together by
-    Aberth-Ehrlich iteration (Aberth, Math. Comp. 1973) from a circle of
-    Fujiwara's radius, which encloses them all, until a sweep moves none by
-    more than _ABERTH_STOP * max(1, |root|); the roots of gcd(poly, poly'),
-    the repeated ones, come the same way.  Raises ArithmeticError if
-    _ABERTH_SWEEPS sweeps pass first, so unconverged roots never return.
+    The roots of the squarefree part poly / gcd(poly, poly'), all simple,
+    come together by Aberth-Ehrlich iteration (Aberth, Math. Comp. 1973)
+    from a circle of Fujiwara's radius, which encloses them all, until a
+    sweep moves none by more than _ABERTH_STOP * max(1, |root|); the roots
+    of gcd(poly, poly'), the repeated ones, come the same way.  Raises
+    ArithmeticError if _ABERTH_SWEEPS sweeps pass first, so unconverged
+    roots never return.
     """
     if len(poly) < 2:
-        return poly, []
+        return []
     free = _poly_divexact(poly, poly_gcd(poly, [k * c for k, c in enumerate(poly)][1:]))
     n, monic = len(free) - 1, [c / free[-1] for c in free]
     slope = [k * c for k, c in enumerate(monic)][1:]
@@ -411,7 +394,7 @@ def _roots(poly) -> tuple[tuple[int, ...], list[complex]]:
             z[i] = zi - value / (poly_eval(slope, zi) - value * pull)
             done = done and abs(z[i] - zi) <= _ABERTH_STOP * max(1.0, abs(z[i]))
         if done:
-            return free, z + _roots(_poly_divexact(poly, free))[1]
+            return z + _roots(_poly_divexact(poly, free))
     raise ArithmeticError(f"Aberth iteration did not converge in {_ABERTH_SWEEPS} sweeps")
 
 
@@ -423,13 +406,13 @@ def dominant_root(rec) -> float:
     1 / (1 - c_1 x - ... - c_d x^d); an empty one raises ValueError.  The
     root must be the unique root of maximal modulus, counted with
     multiplicity, or NoDominantRoot is raised, as it is when every root is
-    0.  Found by :func:`_roots`, then polished on the squarefree part by
-    :func:`_newton_root`.
+    0.  It is the real part of that root as :func:`_roots` returns it,
+    converged by Aberth-Ehrlich iteration.
     """
     if not rec:  # a RationalGF, a pair, is never empty
         raise ValueError("empty coefficient list")
     gf = rec if isinstance(rec, RationalGF) else RationalGF((1,), (1, *(-c for c in rec)))
-    free, roots = _roots(gf.denominator[::-1])  # lowest first
+    roots = _roots(gf.denominator[::-1])  # lowest first
     top = max(map(abs, roots), default=0.0)
     near = [z for z in roots if abs(z) > top * (1.0 - 1e-6)]
     if len(near) != 1:
@@ -439,4 +422,4 @@ def dominant_root(rec) -> float:
     candidate = near[0]
     if abs(candidate.imag) > 1e-6 * max(1.0, top) or candidate.real <= 0:
         raise NoDominantRoot(f"maximal-modulus root {candidate:.6g} is not positive real")
-    return _newton_root(free, candidate.real)
+    return candidate.real

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .genfunc import NoDominantRoot, dominant_root, fit_recurrence
+from .genfunc import InsufficientData, NoDominantRoot, dominant_root, fit_recurrence
 from .split import head
 
 __all__ = [
@@ -54,9 +54,10 @@ def build_profile(m: int, n_max: int) -> GrowthProfile:
     with ``CeilingExceeded``, as the search engines do.
     """
     terms = tuple(head(n_max, m))
-    fitted = None
-    if len(terms) >= 4:
+    try:
         fitted = fit_recurrence(list(terms))
+    except InsufficientData:
+        fitted = None
     alpha = None
     method = None
     if fitted is not None:

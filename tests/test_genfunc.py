@@ -15,7 +15,6 @@ from permlip.genfunc import (
     InsufficientData,
     NoDominantRoot,
     RationalGF,
-    _newton_root,
     _poly_divexact,
     _primitive,
     dominant_root,
@@ -489,7 +488,7 @@ def test_gf_recurrence_round_trip(den_tail, num):
 
 def test_dominant_root_examples():
     assert abs(dominant_root(gf_m2()) - 1.4655712318767680) < 1e-11
-    # polished on the squarefree part: within an ulp of the correctly rounded alpha
+    # as Aberth leaves it: within an ulp of the correctly rounded alpha
     assert abs(dominant_root(gf_m2()) - 1.465571231876768) <= math.ulp(1.465571231876768)
     assert dominant_root([1]) == pytest.approx(1.0, abs=1e-12)
     assert dominant_root([1, 0, 0]) == pytest.approx(1.0, abs=1e-12)  # x^3 - x^2
@@ -574,6 +573,7 @@ def test_dominant_root_of_fitted_gfs_matches_mpmath(m):
     want = mpmath_dominant_root(gf.denominator)
     assert want is not None
     assert dominant_root(gf) == pytest.approx(want, rel=1e-12)
+    assert abs(dominant_root(gf) - want) <= 8 * math.ulp(want)
 
 
 def test_unconverged_root_search_raises(monkeypatch):
@@ -591,11 +591,3 @@ def test_dominant_root_at_order_52_is_fast():
     dominant_root(gf)
     assert time.perf_counter() - start < 0.5
 
-
-def test_newton_root_examples():
-    root = _newton_root((-2, 0, 1), 1.0)  # x^2 - 2, lowest coefficient first
-    assert abs(root - math.sqrt(2)) <= math.ulp(math.sqrt(2))
-    assert _newton_root((-2.0, 0.0, 1.0), -1.0) == pytest.approx(-math.sqrt(2), rel=1e-15)
-    # a zero slope at the start leaves x where it is instead of dividing by it
-    assert _newton_root((-2, 0, 1), 0.0) == 0.0
-    assert _newton_root((5,), 3.0) == 3.0  # a constant has no slope anywhere
