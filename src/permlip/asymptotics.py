@@ -5,16 +5,17 @@ the unique positive root of 1 - x - x^3; the counts therefore grow like
 amplitude * alpha^n with alpha the reciprocal root.  This module reads
 alpha from the package's one root finder, ``genfunc.dominant_root`` of
 ``gf_m2()``, derives the constants from it to full float precision,
-checks them against the literal cubic, and measures how fast the exact
-counts close in on the leading term.
+checks them against the literal cubic, and measures how fast the series
+of ``gf_m2()``, the exact counts, closes in on the leading term.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import islice
 
-from .genfunc import dominant_root, gf_m2, poly_eval
+from .genfunc import dominant_root, gf_m2, poly_eval, series_stream
 
 __all__ = [
     "AsymptoticEstimate",
@@ -90,12 +91,11 @@ def convergence_report(n_max: int) -> list[ConvergenceRow]:
     Relative error is computed in log space, so the comparison stays
     finite even when both sides dwarf the float range.
     """
-    from .m2 import class_counts_by_recurrence
     if not 1 <= n_max <= 10**4:
         raise ValueError(f"n_max must lie in 1..10000, got {n_max}")
     est = estimate()
     rows = []
-    for n, exact in zip(range(1, n_max + 1), class_counts_by_recurrence()):
+    for n, exact in zip(range(1, n_max + 1), islice(series_stream(gf_m2()), 1, None)):
         asym_log = log_asymptotic_value(n, est)
         rel = abs(math.expm1(asym_log - math.log(exact)))
         rows.append(ConvergenceRow(n, exact, asym_log, rel))

@@ -82,6 +82,6 @@ class MaxSplit(namedtuple("MaxSplit", "left position right")):
 
 
 def split_at_max(word) -> MaxSplit:
-    """Split any permutation around its maximum entry.  Never fails."""
+    """Split any nonempty permutation at its maximum; the empty word raises ValueError."""
     k = word.index(len(word))
     return MaxSplit(tuple(word[:k]), k + 1, tuple(word[k + 1:]))

@@ -325,15 +325,16 @@ def fit_recurrence(seq, max_order: int | None = None,
     One Berlekamp-Massey pass over all terms gives the connection
     polynomial C, the denominator.  The numerator P is the series times C,
     cut below valid_from: one past the last index where the relation, read
-    with a_k = 0 for k <= 0, fails.  The fit is accepted only when the
-    indices from valid_from up to the last two terms still give ``order``
-    equations: the last two are spare, a held-out tail that must agree too.
-    For L terms that rule alone keeps order + valid_from at most L - 1; a
-    given ``max_order`` also caps the order deg C, and a given
-    ``max_offset`` caps valid_from at 1 + max_offset.  Returns P/C,
-    reduced, or None when nothing fits, including a fit whose reduced
-    C(0) is not 1: it predicts terms that are not integers.  The terms
-    must be ints; anything else raises TypeError.
+    with a_k = 0 for k <= 0, fails.  As C(0) != 0, P/C reproduces every
+    given term by construction; four rules decide the fit.  The order deg C
+    is at least 1.  The indices from valid_from up to the last two terms
+    still give ``order`` equations (L - 1 - valid_from >= order): the last
+    two are spare, not held out, as Berlekamp-Massey read them too.  A
+    given ``max_order`` caps the order and a given ``max_offset`` caps
+    valid_from at 1 + max_offset.  The reduced C(0) is 1, else the fit
+    predicts terms that are not integers.  Returns P/C, reduced, or None
+    when nothing fits.  The terms must be ints; anything else raises
+    TypeError.
 
     Berlekamp-Massey returns the shortest register, which is only pinned
     down by the data once it holds at least twice the register's length
@@ -358,6 +359,7 @@ def fit_recurrence(seq, max_order: int | None = None,
         gf = RationalGF(p, c)
     except ValueError:  # reduced C(0) is not 1
         return None
+    # true by construction: a consistency check on RationalGF normalisation and series_stream
     return gf if series_coeffs(gf, L + 1)[1:] == ints else None
 
 

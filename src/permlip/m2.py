@@ -5,11 +5,12 @@ entry: first, second, or last.  Each family has a rigid shape, built
 directly here with no search:
 
 * max-last members are an increasing tail fed by a short descending
-  prefix (one family per position of the entry 1);
+  prefix (one family per position of the entry 1), n - 1 of them;
 * max-second members are exactly the max-first members of length n - 2
-  with the two largest values grafted on the front;
+  with the two largest values grafted on the front, f(n - 2) of them;
 * max-first members satisfy the size recurrence
-  count(n) = count(n - 1) + count(n - 3) + 1.
+  f(n) = f(n - 1) + f(n - 3) + 1, which at n + 1 makes the class size
+  f(n) + f(n - 2) + (n - 1) one max-first size, f(n + 1) + n - 2.
 
 A single size is read off x^k mod the characteristic polynomial of a
 constant-coefficient recurrence (Fiduccia, SIAM J. Comput. 1985): O(log n)
@@ -26,6 +27,7 @@ because the closed and recurrence routes run it and must not load
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import islice
 
 from .core import in_class
 
@@ -139,33 +141,25 @@ def max_second_count(n: int) -> int:
 
 
 def class_counts() -> Iterator[int]:
-    """Class sizes for n = 1, 2, ... without end, assembled from the three
-    families: f(n) max-first, f(n - 2) max-second and n - 1 max-last
-    members, with f read off one pass of :func:`max_first_counts`."""
+    """Class sizes for n = 1, 2, ... without end: 1, then f(n + 1) + n - 2
+    (see :func:`class_count`) over one pass of :func:`max_first_counts`."""
     yield 1
-    yield 2
-    family = max_first_counts()
-    two_back, one_back = next(family), next(family)  # f(n - 2), f(n - 1)
-    for n, f_n in enumerate(family, start=3):
-        yield f_n + two_back + (n - 1)
-        two_back, one_back = one_back, f_n
+    for n, f_next in enumerate(islice(max_first_counts(), 2, None), start=2):
+        yield f_next + n - 2
 
 
 def class_count(n: int) -> int:
-    """Total class size for jump bound 2, assembled from the three families:
-    f(n) + f(n - 2) + (n - 1).
+    """Total class size for jump bound 2: f(n + 1) + n - 2 for n >= 2.
 
-    One power x^(n-3) mod x^3 - x^2 - 1 gives both max-first sizes, applied
-    to g(1..3) for f(n - 2) and to g(3..5) = 3, 5, 7 for f(n), where
-    g = f + 1.
+    The three families give f(n) + f(n - 2) + (n - 1), and the max-first
+    recurrence f(n + 1) = f(n) + f(n - 2) + 1 folds the two max-first sizes
+    into one.  The lone member at n = 1 is counted apart.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n <= 2:
-        return n
-    c = _x_pow_mod(n - 3, _G_TAIL)
-    two_back, f_n = _dot(c, _G_START) - 1, _dot(c, (3, 5, 7)) - 1
-    return f_n + two_back + (n - 1)
+    if n == 1:
+        return 1
+    return max_first_count(n + 1) + n - 2
 
 
 def class_counts_by_recurrence() -> Iterator[int]:

@@ -43,6 +43,8 @@ def test_split_examples():
     assert split_at_max((1,)) == MaxSplit((), 1, ())
     # defined even off the class
     assert split_at_max((1, 3, 2)) == MaxSplit((1,), 2, (2,))
+    with pytest.raises(ValueError):
+        split_at_max(())
 
 
 def test_max_split_is_an_immutable_named_triple():
