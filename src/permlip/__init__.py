@@ -21,9 +21,8 @@ _EXPORTS = {
            "class_counts_by_recurrence", "max_first_count", "max_first_perms",
            "max_last_count", "max_last_perms", "max_second_count", "to_max_first",
            "to_max_second", "zigzag"),
-    "genfunc": ("InsufficientData", "NoDominantRoot", "RationalGF", "dominant_root",
-                "fit_recurrence", "gf_m2", "gf_max_first", "nth_coeff", "series_coeffs",
-                "series_stream"),
+    "genfunc": ("NoDominantRoot", "RationalGF", "dominant_root", "fit_recurrence",
+                "gf_m2", "gf_max_first", "nth_coeff", "series_coeffs", "series_stream"),
     "asymptotics": ("AsymptoticEstimate", "amplitude", "convergence_report", "estimate"),
     "probe": ("GrowthProfile", "MonotonicityReport", "build_profile", "monotonicity_check"),
 }

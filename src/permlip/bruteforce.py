@@ -65,59 +65,45 @@ def _check_args(n: int, m: int) -> None:
         raise CeilingExceeded(f"n={n} exceeds brute-force ceiling {limit}")
 
 
-def _candidates(prefix: list[int], n: int, m: int, used: list[bool]):
-    # Adjacency restricts candidates to a window around the last entry; that
-    # is part of the definition, not a structural shortcut.  Ascending order
-    # makes the search lexicographic.
-    if not prefix:
-        lo, hi = 1, n
-    else:
-        last = prefix[-1]
-        lo, hi = max(1, last - m), min(n, last + m)
-    for v in range(lo, hi + 1):
-        if not used[v]:
-            yield v
+def count(n: int, m: int, visit=None) -> int:
+    """Number of length-n permutations avoiding 132 with all jumps <= m.
 
-
-def _walk(n: int, m: int, visit=None) -> int:
-    """Depth-first search over prefixes, extended only where the defining
-    predicate allows; calls ``visit`` on each complete member, in
-    lexicographic order, and returns how many there are."""
+    Exact, by depth-first search over prefixes, extended only where the
+    defining predicate allows.  This is the oracle's one walk: a given
+    ``visit`` is called on each complete member, in lexicographic order,
+    as the working prefix list (copy it to keep it); :func:`members` and
+    :func:`max_position_census` are such visitors.
+    """
     _check_args(n, m)
     used = [False] * (n + 1)
     prefix: list[int] = []
 
-    def walk() -> int:
+    def walk(lo: int, hi: int) -> int:
         if len(prefix) == n:
             if visit is not None:
                 visit(prefix)
             return 1
         total = 0
-        for v in _candidates(prefix, n, m, used):
-            if prefix_extension_ok(prefix, v, m):
+        # Candidates lie in the adjacency window lo..hi around the last entry;
+        # that is part of the definition, not a structural shortcut.
+        # Ascending order makes the search lexicographic.
+        for v in range(lo, hi + 1):
+            if not used[v] and prefix_extension_ok(prefix, v, m):
                 used[v] = True
                 prefix.append(v)
-                total += walk()
+                total += walk(max(1, v - m), min(n, v + m))
                 prefix.pop()
                 used[v] = False
         return total
 
-    return walk()
-
-
-def count(n: int, m: int) -> int:
-    """Number of length-n permutations avoiding 132 with all jumps <= m.
-
-    Exact, by pruned search over prefixes.  Branches by first entry are
-    independent, so totals merge by plain addition.
-    """
-    return _walk(n, m)
+    return walk(1, n)
 
 
 def members(n: int, m: int) -> list[tuple[int, ...]]:
-    """All class members of length n in lexicographic order."""
+    """All class members of length n in lexicographic order, collected
+    from the walk of :func:`count`."""
     out: list[tuple[int, ...]] = []
-    _walk(n, m, lambda prefix: out.append(tuple(prefix)))
+    count(n, m, lambda prefix: out.append(tuple(prefix)))
     return out
 
 
@@ -150,11 +136,14 @@ def max_position_census(n: int, m: int) -> dict[int, int]:
     """Histogram of the 1-based position of the entry n across the class.
 
     Only positions that actually occur appear as keys, so the key set is
-    the realized support.
+    the realized support.  Each member is tallied as the walk of
+    :func:`count` visits it, so memory stays O(n), not the size of the class.
     """
     hist: dict[int, int] = {}
-    for word in members(n, m):
-        pos = word.index(n) + 1
-        hist[pos] = hist.get(pos, 0) + 1
-    return dict(sorted(hist.items()))
 
+    def tally(prefix: list[int]) -> None:
+        pos = prefix.index(n) + 1
+        hist[pos] = hist.get(pos, 0) + 1
+
+    count(n, m, tally)
+    return dict(sorted(hist.items()))

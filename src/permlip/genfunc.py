@@ -29,7 +29,6 @@ from math import cos, gcd, pi, sin
 from operator import index, mul
 
 __all__ = [
-    "InsufficientData",
     "NoDominantRoot",
     "RationalGF",
     "dominant_root",
@@ -47,10 +46,6 @@ __all__ = [
     "series_coeffs",
     "series_stream",
 ]
-
-
-class InsufficientData(ValueError):
-    """Too few terms to fit and still hold out a verification tail."""
 
 
 class NoDominantRoot(ArithmeticError):
@@ -340,12 +335,15 @@ def fit_recurrence(seq, max_order: int | None = None,
     down by the data once it holds at least twice the register's length
     in terms.  A shorter series can be refused even when some relation of
     low order, starting late, happens to fit it.
+
+    Fewer than four terms never fit, with no guard of their own: for L <= 3
+    the rule L - 1 - valid_from >= order >= 1 forces valid_from = 1, so P,
+    the series times C cut at x^L, is 0.  As C(0) != 0, every term is then
+    0, for which Berlekamp-Massey returns C = 1, of order 0, refused.
     """
     if (max_order is not None and max_order < 1) or (max_offset is not None and max_offset < 0):
         raise ValueError(f"bad search bounds: max_order={max_order}, max_offset={max_offset}")
     L = len(seq)
-    if L < 4:
-        raise InsufficientData(f"need at least 4 terms, got {L}")
     ints = [index(x) for x in seq]
     c = _berlekamp_massey(ints)
     order = len(c) - 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .genfunc import InsufficientData, NoDominantRoot, dominant_root, fit_recurrence
+from .genfunc import NoDominantRoot, dominant_root, fit_recurrence
 from .split import head
 
 __all__ = [
@@ -54,10 +54,7 @@ def build_profile(m: int, n_max: int) -> GrowthProfile:
     with ``CeilingExceeded``, as the search engines do.
     """
     terms = tuple(head(n_max, m))
-    try:
-        fitted = fit_recurrence(list(terms))
-    except InsufficientData:
-        fitted = None
+    fitted = fit_recurrence(terms)
     alpha = None
     method = None
     if fitted is not None:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -45,6 +47,8 @@ def test_members_equal_filtered_universe():
         for m in (1, 2, 3, n + 1):
             expected = [w for w in permutations(range(1, n + 1)) if in_class(w, m)]
             assert members(n, m) == expected, (n, m)
+            census = Counter(w.index(n) + 1 for w in expected)
+            assert max_position_census(n, m) == dict(sorted(census.items())), (n, m)
 
 
 def test_count_nondecreasing_in_bound():
@@ -71,6 +75,18 @@ def test_census_examples():
     assert max_position_census(1, 4) == {1: 1}
     assert max_position_census(6, 2) == {1: 9, 2: 4, 6: 5}
     assert max_position_census(2, 1) == {1: 1, 2: 1}
+
+
+def test_census_holds_no_class():
+    # 4862 members of length 10 held as tuples would take about 2 MB
+    tracemalloc.start()
+    try:
+        census = max_position_census(10, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(census.values()) == catalan(10)
+    assert peak < 0.5 * 2**20, peak
 
 
 def test_census_support_and_realization():

@@ -91,10 +91,10 @@ def test_transfer_suite_reports_disagreement(monkeypatch):
 
 def test_split_suite_walks_the_oracle_once_per_length(monkeypatch):
     walked = []
-    real = bruteforce.members
-    monkeypatch.setattr(bruteforce, "members", lambda n, m: walked.append(n) or real(n, m))
-    for name in ("count", "max_position_census"):
-        monkeypatch.setattr(bruteforce, name, lambda *args: pytest.fail("second walk"))
+    real = bruteforce.count
+    monkeypatch.setattr(bruteforce, "count",
+                        lambda n, m, *visit: walked.append(n) or real(n, m, *visit))
+    monkeypatch.setattr(bruteforce, "max_position_census", lambda *args: pytest.fail("second walk"))
     assert _failures(run_suite("split", 10)) == []
     assert walked == list(range(3, 11))
 

@@ -46,7 +46,7 @@ def test_default_count_never_walks(capsys, monkeypatch):
     oracle's search, and still refuses what the search refuses."""
     def no_walk(*args):
         raise AssertionError("the default engine ran the brute-force walk")
-    monkeypatch.setattr(bruteforce, "_walk", no_walk)
+    monkeypatch.setattr(bruteforce, "prefix_extension_ok", no_walk)
     monkeypatch.delenv("PERMLIP_CEILING", raising=False)
     assert run_cli(capsys, "count", "-n", "12", "-m", "3") == (0, "2841\n", "")
     assert run_cli(capsys, "count", "-n", "15", "-m", "2") == (

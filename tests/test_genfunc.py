@@ -12,7 +12,6 @@ from mpmath.libmp import NoConvergence
 
 from permlip import genfunc, split
 from permlip.genfunc import (
-    InsufficientData,
     NoDominantRoot,
     RationalGF,
     _poly_divexact,
@@ -378,8 +377,9 @@ def test_fit_rejects_catalan():
 
 
 def test_fit_needs_enough_data():
-    with pytest.raises(InsufficientData):
-        fit_recurrence([1, 2, 3], 1, 0)
+    # the acceptance rules alone refuse every sequence of fewer than four terms
+    for seq in ([], [7], [1, 2], [0, 0, 0], [1, 2, 3], [1, 2, 4]):
+        assert fit_recurrence(seq) is None, seq
     with pytest.raises(ValueError):
         fit_recurrence([1, 2, 3, 4], 0, 0)
 
