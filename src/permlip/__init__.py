@@ -17,10 +17,9 @@ _EXPORTS = {
     "core": ("MaxSplit", "avoids_132", "in_class", "max_adjacent_jump",
              "prefix_extension_ok", "satisfies_adjacency", "split_at_max"),
     "bruteforce": ("CeilingExceeded", "catalan", "count", "max_position_census", "members"),
-    "m2": ("class_count", "class_count_by_recurrence", "class_counts",
-           "class_counts_by_recurrence", "max_first_count", "max_first_perms",
-           "max_last_count", "max_last_perms", "max_second_count", "to_max_first",
-           "to_max_second", "zigzag"),
+    "m2": ("class_count", "class_count_by_recurrence", "max_first_count",
+           "max_first_perms", "max_last_count", "max_last_perms", "max_second_count",
+           "to_max_first", "to_max_second", "zigzag"),
     "genfunc": ("NoDominantRoot", "RationalGF", "dominant_root", "fit_recurrence",
                 "gf_m2", "gf_max_first", "nth_coeff", "series_coeffs", "series_stream"),
     "asymptotics": ("AsymptoticEstimate", "amplitude", "convergence_report", "estimate"),

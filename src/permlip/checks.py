@@ -151,8 +151,8 @@ def suite_split(n_max: int) -> list[Result]:
 
 
 def suite_gf(n_max: int) -> list[Result]:
-    """Series, closed form, and recurrence agree; the assembled rational
-    function is reduced and correct."""
+    """The assembled rational function is reduced and correct, and its
+    series agrees with the closed and recurrence routes at every n <= N."""
     from . import genfunc, m2
     out = []
     A = genfunc.gf_m2()
@@ -166,11 +166,11 @@ def suite_gf(n_max: int) -> list[Result]:
         genfunc.gf_mul(genfunc.RationalGF((1, 0, 1), (1,)), B),
         genfunc.RationalGF((0, 0, 1), genfunc.poly_mul((1, -1), (1, -1))))
     out.append(_check("assembly", assembled == A, "pieces do not assemble"))
-    # term by term over the three streams, so memory stays bounded in n_max
+    # the series against both n-th term routes at every n, one term at a time
     closed_ok = rec_ok = True
-    for s, c, r in islice(zip(islice(genfunc.series_stream(A), 1, None), m2.class_counts(),
-                              m2.class_counts_by_recurrence()), n_max):
-        closed_ok, rec_ok = closed_ok and s == c, rec_ok and s == r
+    for n, s in enumerate(islice(genfunc.series_stream(A), 1, n_max + 1), start=1):
+        closed_ok = closed_ok and s == m2.class_count(n)
+        rec_ok = rec_ok and s == m2.class_count_by_recurrence(n)
     out.append(_check("series vs closed", closed_ok, "series drifts from closed form"))
     out.append(_check("series vs recurrence", rec_ok, "series drifts from recurrence"))
     return out

@@ -5,7 +5,9 @@ exact decimal strings everywhere, including inside JSON, so arbitrarily
 large values survive any consumer.  Exit codes: 0 success, 1 a
 verification suite failed or probe saw counts drop as the bound
 loosened, 2 usage error (including a malformed
-``PERMLIP_CEILING``), 3 brute-force ceiling exceeded.
+``PERMLIP_CEILING``), 3 brute-force ceiling exceeded, 141 stdout was closed
+before all output was written (128 + SIGPIPE, what a shell reports for GNU
+``seq`` in the same pipe).
 
 A command loads only the modules it runs.  Only ``bruteforce`` is imported
 up front, because ``main`` catches its CeilingExceeded; every engine, route
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from importlib import import_module
 
@@ -37,7 +40,7 @@ def _lazy(module: str, name: str):
     return lambda *args: getattr(import_module(f".{module}", __package__), name)(*args)
 
 
-_SEARCH = {"split": _lazy("split", "count"), "brute": bruteforce.count,
+_SEARCH = {"split": _lazy("split", "count"), "brute": _lazy("bruteforce", "count"),
            "transfer": _lazy("transfer", "count")}
 
 _M1_HEAD = (1, 2)  # a_1, a_2; the relation a_n = a_(n-1) holds from n = 3
@@ -62,6 +65,12 @@ def _gf_term(n: int, m: int) -> int:
     return genfunc.nth_coeff(gf, n)
 
 
+def _gf_terms():
+    """The counts for n = 1, 2, ... at m = 2, streamed from the series of gf_m2()."""
+    from . import genfunc
+    return itertools.islice(genfunc.series_stream(genfunc.gf_m2()), 1, None)
+
+
 # Every exact route, keyed by (regime, engine).  A route maps n to the count
 # at length n, except "terms", the endless stream of counts for n = 1, 2, ...
 # that seq prints.  The closed, recurrence and gf routes of a regime are
@@ -74,7 +83,7 @@ _ROUTES = {
     ("m=2", "closed"): _lazy("m2", "class_count"),
     ("m=2", "recurrence"): _lazy("m2", "class_count_by_recurrence"),
     ("m=2", "gf"): lambda n: _gf_term(n, 2),
-    ("m=2", "terms"): _lazy("m2", "class_counts"),
+    ("m=2", "terms"): _gf_terms,
     ("catalan", "closed"): bruteforce.catalan,
     ("catalan", "recurrence"): bruteforce.catalan_by_recurrence,
     ("catalan", "terms"): lambda: itertools.islice(bruteforce.catalan_numbers(), 1, None),
@@ -216,7 +225,15 @@ def main(argv=None) -> int:
     if digit_cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a late EPIPE is raised here, inside the try
+        return status
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the
+        # interpreter's final flush cannot raise again
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except bruteforce.CeilingExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

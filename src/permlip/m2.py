@@ -15,9 +15,9 @@ directly here with no search:
 A single size is read off x^k mod the characteristic polynomial of a
 constant-coefficient recurrence (Fiduccia, SIAM J. Comput. 1985): O(log n)
 squarings of a polynomial of degree below 3 or 5, so the n-th size costs a
-few products of O(n)-digit integers.  The streams of all sizes hold only a
-sliding window of the last few terms and serve as independent checks on
-those readouts.  Nothing is cached between calls.
+few products of O(n)-digit integers.  Nothing is cached between calls.
+``verify --suite gf`` checks both readouts at every n against the series
+of ``genfunc.gf_m2()``, which shares no code with them.
 
 ``_x_pow_mod`` is also the kernel of ``genfunc.nth_coeff``.  It lives here
 because the closed and recurrence routes run it and must not load
@@ -26,18 +26,12 @@ because the closed and recurrence routes run it and must not load
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from itertools import islice
-
 from .core import in_class
 
 __all__ = [
     "class_count",
     "class_count_by_recurrence",
-    "class_counts",
-    "class_counts_by_recurrence",
     "max_first_count",
-    "max_first_counts",
     "max_first_perms",
     "max_last_count",
     "max_last_perms",
@@ -113,17 +107,6 @@ def max_last_count(n: int) -> int:
     return n - 1
 
 
-def max_first_counts() -> Iterator[int]:
-    """Max-first family sizes f(1), f(2), ... without end, by the size
-    recurrence f(k) = f(k - 1) + f(k - 3) + 1 over a three-term window."""
-    yield 1
-    yield 1
-    a, b, c = 1, 1, 2  # f(k - 2), f(k - 1), f(k)
-    while True:
-        yield c
-        a, b, c = b, c, c + a + 1
-
-
 def max_first_count(n: int) -> int:
     """Number of max-first members f(n), read off g(n) = f(n) + 1, which
     obeys g(k) = g(k - 1) + g(k - 3): x^(n-1) mod x^3 - x^2 - 1 applied to
@@ -140,14 +123,6 @@ def max_second_count(n: int) -> int:
     return max_first_count(n - 2)
 
 
-def class_counts() -> Iterator[int]:
-    """Class sizes for n = 1, 2, ... without end: 1, then f(n + 1) + n - 2
-    (see :func:`class_count`) over one pass of :func:`max_first_counts`."""
-    yield 1
-    for n, f_next in enumerate(islice(max_first_counts(), 2, None), start=2):
-        yield f_next + n - 2
-
-
 def class_count(n: int) -> int:
     """Total class size for jump bound 2: f(n + 1) + n - 2 for n >= 2.
 
@@ -160,20 +135,6 @@ def class_count(n: int) -> int:
     if n == 1:
         return 1
     return max_first_count(n + 1) + n - 2
-
-
-def class_counts_by_recurrence() -> Iterator[int]:
-    """Class sizes for n = 1, 2, ... without end, by the order-5 relation
-    a(n) = 3a(n-1) - 3a(n-2) + 2a(n-3) - 2a(n-4) + a(n-5), valid from n = 7,
-    over a five-term window.
-
-    Independent of :func:`class_counts`; the two must agree everywhere.
-    """
-    yield from _A_HEAD
-    a, b, c, d, e = _A_HEAD[1:]  # a(n-5) .. a(n-1)
-    while True:
-        a, b, c, d, e = b, c, d, e, 3 * (e - d) + 2 * (c - b) + a
-        yield e
 
 
 def class_count_by_recurrence(n: int) -> int:

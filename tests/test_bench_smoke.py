@@ -14,6 +14,7 @@ import pytest
 
 from permlip import m2
 from permlip.cli import main
+from permlip.genfunc import gf_m2, series_stream
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -55,8 +56,9 @@ def test_traced_names_resolve(bench):
 
 def test_reference_terms_match_streams(bench):
     _, _, refs = bench
-    for stream in (m2.class_counts, m2.class_counts_by_recurrence):
-        terms = [str(t) for t in islice(stream(), 40)]
+    for stream in (islice(series_stream(gf_m2()), 1, 41),
+                   (m2.class_count_by_recurrence(n) for n in range(1, 41))):
+        terms = [str(t) for t in stream]
         assert terms[:10] == refs["m2_first_ten_paper"]
         assert terms == refs["m2_terms"][:40]
 

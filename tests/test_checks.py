@@ -82,6 +82,16 @@ def test_char_root_check_compares_the_max_first_gf(monkeypatch):
     assert "2.0" in detail and "1.4655712318767682" in detail
 
 
+@pytest.mark.parametrize("route, name", [("class_count", "series vs closed"),
+                                         ("class_count_by_recurrence", "series vs recurrence")])
+def test_gf_suite_checks_each_nth_term_route(monkeypatch, route, name):
+    # one term off at a single n <= N must be seen
+    real = getattr(m2, route)
+    monkeypatch.setattr(m2, route, lambda n: real(n) + (n == 7))
+    bad = _failures(run_suite("gf", 10))
+    assert [failed for failed, _, _ in bad] == [name]
+
+
 def test_transfer_suite_reports_disagreement(monkeypatch):
     monkeypatch.setattr(transfer, "count", lambda n, m: 0)
     bad = _failures(run_suite("transfer", 5, 3))

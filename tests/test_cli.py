@@ -53,6 +53,14 @@ def test_default_count_never_walks(capsys, monkeypatch):
         3, "", "error: n=15 exceeds brute-force ceiling 14\n")
 
 
+def test_brute_engine_looks_up_the_walk_at_call_time(capsys, monkeypatch):
+    calls = []
+    real = bruteforce.count
+    monkeypatch.setattr(bruteforce, "count", lambda n, m: calls.append((n, m)) or real(n, m))
+    assert run_cli(capsys, "count", "-n", "5", "-m", "2", "--engine", "brute") == (0, "12\n", "")
+    assert calls == [(5, 2)]
+
+
 def test_large_count_is_exact(capsys):
     for engine in ("closed", "recurrence", "gf"):
         rc, out, _ = run_cli(capsys, "count", "-n", "100", "-m", "2",
@@ -183,9 +191,8 @@ def test_seq_beyond_ceiling_via_theory(capsys):
 
 def test_seq_streamed_output_matches_whole_formats(capsys):
     """Each format, written term by term, equals the whole-list rendering."""
-    from itertools import islice
-    from permlip.m2 import class_counts
-    for m, terms in ((1, [1] + [2] * 299), (2, list(islice(class_counts(), 300))),
+    from permlip.m2 import class_count
+    for m, terms in ((1, [1] + [2] * 299), (2, [class_count(n) for n in range(1, 301)]),
                      (3, [1, 2, 5, 14, 28, 55])):
         n_max = str(len(terms))
         expected = {
@@ -386,6 +393,18 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "18"
 
 
+def test_closed_pipe_exits_141_without_a_traceback():
+    # megabytes of output, far past any pipe buffer: a write after the close
+    # always fails, however the two processes are scheduled
+    with subprocess.Popen([sys.executable, "-m", "permlip", "seq", "-m", "2", "-N", "20000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=child_env()) as proc:
+        assert proc.stdout.readline() == b"1\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
+
+
 # Run the CLI on argv (or, with no argv, just import permlip) and print the
 # modules that loaded as the last line of stderr.
 LOADED = """
@@ -474,6 +493,7 @@ SLOW_STDLIB = {"dataclasses", "fractions"}
     "probe -m 2 -N 14",
     "probe -m 1 2 -N 14",
     "count -n 1000 -m 2 --engine gf",
+    "seq -m 2 -N 20",
     "verify --suite gf -N 9",
     "verify --suite asymptotics -N 9",
 ])
