@@ -1,9 +1,16 @@
 """Brute-force ground truth for the bounded-jump 132-avoiding classes.
 
-Everything here is driven only by the defining predicates (pattern test
-plus jump bound).  No structural shortcuts, no closed forms: these
-routines stay valid as an independent oracle for the constructions and
-counts implemented elsewhere in the package.
+The searches :func:`count`, :func:`members` and :func:`max_position_census`
+are driven only by the defining predicates (pattern test plus jump bound),
+with no structural shortcuts and no closed forms, so they stay valid as an
+independent oracle for the constructions and counts implemented elsewhere
+in the package.
+
+The module also holds the CLI's Catalan routes, used at bounds m >= n - 1
+where every 132-avoider counts: :func:`catalan` (the binomial),
+:func:`catalan_numbers` and :func:`catalan_by_recurrence`.  They live here
+because ``cli`` imports this module up front, so they cost no further
+import; none of the searches uses them.
 
 Work grows exponentially with n, so searches refuse to run above a
 ceiling: default 14, moved only through the environment variable

@@ -1,10 +1,11 @@
 import math
-import tracemalloc
+import sys
 from collections import Counter
 from itertools import permutations
 
 import pytest
 
+from conftest import traced
 from permlip.bruteforce import (
     CeilingExceeded,
     catalan,
@@ -78,15 +79,10 @@ def test_census_examples():
 
 
 def test_census_holds_no_class():
-    # 4862 members of length 10 held as tuples would take about 2 MB
-    tracemalloc.start()
-    try:
-        census = max_position_census(10, 9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    census, peak, _ = traced(max_position_census, 10, 9)
     assert sum(census.values()) == catalan(10)
-    assert peak < 0.5 * 2**20, peak
+    # the leak: the catalan(10) = 16796 members of length 10 held as tuples
+    assert peak < catalan(10) * sys.getsizeof(tuple(range(10))) / 8, peak
 
 
 def test_census_support_and_realization():
