@@ -181,13 +181,17 @@ def suite_asymptotics(n_max: int) -> list[Result]:
     in on the exact counts."""
     from . import asymptotics, genfunc
     out = []
-    est = asymptotics.estimate()
-    out.append(_check("residual", abs(1 - est.rho - est.rho**3) < 1e-12, f"rho={est.rho!r}"))
-    out.append(_check("reciprocal", abs(est.alpha * est.rho - 1) < 1e-12, "alpha != 1/rho"))
-    out.append(_check("cubic", abs(est.alpha**3 - est.alpha**2 - 1) < 1e-10, "alpha cubic fails"))
+    # the root estimate() reads, checked before AsymptoticEstimate would refuse it
+    alpha = asymptotics.dominant_root(asymptotics.gf_m2())
+    rho = 1.0 / alpha
+    out.append(_check("residual", abs(1 - rho - rho**3) < 1e-12, f"rho={rho!r}"))
+    out.append(_check("reciprocal", abs(alpha * rho - 1) < 1e-12, "alpha != 1/rho"))
+    out.append(_check("cubic", abs(alpha**3 - alpha**2 - 1) < 1e-10, "alpha cubic fails"))
     root = genfunc.dominant_root(genfunc.gf_max_first())  # a separate derivation
-    out.append(_check("char root", abs(root - est.alpha) < 1e-9,
-                      f"max-first char poly root {root!r} vs alpha {est.alpha!r}"))
+    out.append(_check("char root", abs(root - alpha) < 1e-9,
+                      f"max-first char poly root {root!r} vs alpha {alpha!r}"))
+    if not all(ok for _, ok, _ in out):
+        return out
     rows = asymptotics.convergence_report(max(100, min(n_max, 10**4)))
     by_n = {r.n: r for r in rows}
     out.append(_check("rel error n=60", by_n[60].rel_error < 1e-3,

@@ -16,8 +16,8 @@ so ``RationalGF`` refuses any other constant term.  All arithmetic except
 root finding is then exact in Python ints, with no division.  Series
 extraction turns each factor 1 - x of Q into a running sum, skips zero
 taps of the rest and adds or subtracts at unit taps; a single coefficient
-is x^n mod Q (reversed), by the Fiduccia kernel in ``m2``, applied to a
-few of them.
+is read off a few of them by the Fiduccia kernel in ``m2``, x^n mod Q
+(reversed).
 """
 
 from __future__ import annotations
@@ -271,17 +271,18 @@ def nth_coeff(gf: RationalGF, n: int) -> int:
     Q A = P gives sum_i q_i a_{j-i} = 0 for j >= len(P), so from s =
     max(0, len(P) - order) on the terms obey a_j = sum_i c_i a_{j-i} with
     the ``coefficients`` c_i = -q_i, and a_n is x^(n-s) mod the reversed
-    denominator (Fiduccia, by ``m2._x_pow_mod``) applied to a_s ..
-    a_{s+order-1}: O(log n) products of polynomials of degree below deg Q.
+    denominator applied to a_s .. a_{s+order-1} (Fiduccia, by
+    ``m2._recurrence_term``): O(log n) products of polynomials of degree
+    below deg Q.
     """
-    from .m2 import _x_pow_mod
+    from .m2 import _recurrence_term
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     s = max(0, len(gf.numerator) - gf.order)
     head = series_coeffs(gf, s + gf.order)
     if n < len(head):
         return head[n]
-    return sum(map(mul, _x_pow_mod(n - s, gf.coefficients), head[s:]))
+    return _recurrence_term(n - s, gf.coefficients, head[s:])
 
 
 # ---------------------------------------------------------------------------

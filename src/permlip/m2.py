@@ -12,19 +12,21 @@ directly here with no search:
   f(n) = f(n - 1) + f(n - 3) + 1, which at n + 1 makes the class size
   f(n) + f(n - 2) + (n - 1) one max-first size, f(n + 1) + n - 2.
 
-A single size is read off x^k mod the characteristic polynomial of a
-constant-coefficient recurrence (Fiduccia, SIAM J. Comput. 1985): O(log n)
-squarings of a polynomial of degree below 3 or 5, so the n-th size costs a
-few products of O(n)-digit integers.  Nothing is cached between calls.
+A single size is a head window of a constant-coefficient recurrence read
+through x^k mod its characteristic polynomial (Fiduccia, SIAM J. Comput.
+1985): O(log n) squarings of a polynomial of degree below 3 or 5, so the
+n-th size costs a few products of O(n)-digit integers.  No cache is kept.
 ``verify --suite gf`` checks both readouts at every n against the series
 of ``genfunc.gf_m2()``, which shares no code with them.
 
-``_x_pow_mod`` is also the kernel of ``genfunc.nth_coeff``.  It lives here
-because the closed and recurrence routes run it and must not load
+``_recurrence_term`` is also the kernel of ``genfunc.nth_coeff``.  It lives
+here because the closed and recurrence routes run it and must not load
 ``genfunc``.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .core import in_class
 
@@ -50,14 +52,13 @@ _A_TAIL = (3, -3, 2, -2, 1)  # the class sizes a(n), from n = 7
 _A_HEAD = (1, 2, 5, 8, 12, 18)  # a(1) .. a(6)
 
 
-def _x_pow_mod(k: int, tail: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients, lowest first, of x^k mod the monic polynomial
-    x^d - tail[0] x^(d-1) - ... - tail[d-1], by square-and-multiply over
-    the bits of k.
-
-    If u(j) = tail[0]u(j-1) + ... + tail[d-1]u(j-d) for every j >= s + d,
-    then u(s + k) = sum(c[i] * u(s + i)) for these coefficients c.  An
-    empty tail gives x^k mod 1 = ().
+def _recurrence_term(k: int, tail: tuple[int, ...], head: tuple[int, ...]) -> int:
+    """The term u(s + k) of a sequence with u(j) = tail[0]u(j-1) + ... +
+    tail[d-1]u(j-d) for every j >= s + d, read off its head window
+    u(s), ..., u(s + d - 1): sum(c[i] * u(s + i)) for the coefficients c of
+    x^k mod the monic x^d - tail[0] x^(d-1) - ... - tail[d-1], found by
+    square-and-multiply over the bits of k.  An empty tail gives x^k mod 1
+    = () and the term 0.
     """
     d = len(tail)
 
@@ -79,11 +80,7 @@ def _x_pow_mod(k: int, tail: tuple[int, ...]) -> tuple[int, ...]:
         c = reduced(sq)
         if bit == "1":
             c = reduced([0, *c])
-    return c
-
-
-def _dot(c: tuple[int, ...], terms: tuple[int, ...]) -> int:
-    return sum(ci * t for ci, t in zip(c, terms))
+    return sum(map(mul, c, head))
 
 
 def max_last_perms(n: int) -> list[tuple[int, ...]]:
@@ -113,7 +110,7 @@ def max_first_count(n: int) -> int:
     g(1..3) = 2, 2, 3."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _dot(_x_pow_mod(n - 1, _G_TAIL), _G_START) - 1
+    return _recurrence_term(n - 1, _G_TAIL, _G_START) - 1
 
 
 def max_second_count(n: int) -> int:
@@ -148,7 +145,7 @@ def class_count_by_recurrence(n: int) -> int:
         raise ValueError(f"need n >= 1, got {n}")
     if n <= len(_A_HEAD):
         return _A_HEAD[n - 1]
-    return _dot(_x_pow_mod(n - 2, _A_TAIL), _A_HEAD[1:])
+    return _recurrence_term(n - 2, _A_TAIL, _A_HEAD[1:])
 
 
 def zigzag(n: int) -> tuple[int, ...]:

@@ -4,8 +4,9 @@ failure channel actually reports when fed a broken claim."""
 import pytest
 
 import permlip.checks as checks
-from permlip import bruteforce, core, genfunc, m2, transfer
+from permlip import asymptotics, bruteforce, core, genfunc, m2, transfer
 from permlip.checks import SUITES, run_suite
+from permlip.cli import main
 from permlip.genfunc import RationalGF
 
 
@@ -80,6 +81,16 @@ def test_char_root_check_compares_the_max_first_gf(monkeypatch):
     assert [name for name, _, _ in bad] == ["char root"]
     detail = bad[0][2]
     assert "2.0" in detail and "1.4655712318767682" in detail
+
+
+def test_asymptotics_suite_reports_a_wrong_root(monkeypatch, capsys):
+    # estimate() would refuse this root; the suite must report it as FAIL lines
+    monkeypatch.setattr(asymptotics, "dominant_root", lambda gf: 1.47)
+    assert main(["verify", "--suite", "asymptotics", "-N", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert [line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL asymptotics: residual", "FAIL asymptotics: cubic", "FAIL asymptotics: char root"]
+    assert err.startswith("first failure: residual: rho=") and "error:" not in err
 
 
 @pytest.mark.parametrize("route, name", [("class_count", "series vs closed"),

@@ -149,31 +149,6 @@ def test_bad_arguments_exit_two(capsys):
 
 # ---------------------------------------------------------------- seq
 
-def test_seq_plain(capsys):
-    rc, out, _ = run_cli(capsys, "seq", "-m", "2", "-N", "6")
-    assert rc == 0
-    assert out == "1\n2\n5\n8\n12\n18\n"
-
-
-def test_seq_csv(capsys):
-    rc, out, _ = run_cli(capsys, "seq", "-m", "1", "-N", "4", "--format", "csv")
-    assert rc == 0
-    assert out == "1,1\n2,2\n3,2\n4,2\n"
-
-
-def test_seq_bfile(capsys):
-    rc, out, _ = run_cli(capsys, "seq", "-m", "2", "-N", "6", "--format", "bfile")
-    assert rc == 0
-    assert out == "1 1\n2 2\n3 5\n4 8\n5 12\n6 18\n"
-
-
-def test_seq_json(capsys):
-    rc, out, _ = run_cli(capsys, "seq", "-m", "2", "-N", "5", "--format", "json")
-    assert rc == 0
-    data = json.loads(out)
-    assert data == {"m": 2, "n_max": 5, "terms": ["1", "2", "5", "8", "12"]}
-
-
 def test_seq_catalan_regime(capsys):
     # ends 742900; the second stays exact past the search ceiling
     for m, n_max in ((12, 13), (30, 20)):
@@ -221,14 +196,6 @@ def test_verify_suite_passes(capsys):
     assert lines and all(line.startswith("PASS gf: ") for line in lines)
 
 
-def test_verify_all_suites_quick(capsys):
-    for suite in ("max-position", "max-last", "max-second", "max-first", "split",
-                  "transfer"):
-        rc, out, _ = run_cli(capsys, "verify", "--suite", suite, "-N", "8")
-        assert rc == 0, f"{suite} failed"
-        assert "FAIL" not in out
-
-
 def test_verify_bound_on_m2_suite_is_usage_error(capsys):
     rc, out, err = run_cli(capsys, "verify", "--suite", "split", "-N", "6", "-m", "7")
     assert rc == 2 and out == ""
@@ -269,16 +236,6 @@ def test_parser_suite_names_match_the_suites():
 
 # ---------------------------------------------------------------- asym / probe
 
-def test_asym_constants_json(capsys):
-    rc, out, _ = run_cli(capsys, "asym")
-    assert rc == 0
-    data = json.loads(out)
-    assert set(data) == {"rho", "alpha", "C"}
-    assert data["rho"] == pytest.approx(0.6823278038280193, abs=1e-14)
-    assert data["alpha"] == pytest.approx(1.4655712318767682, abs=1e-14)
-    assert data["C"] == pytest.approx(1.5076770638769428, abs=1e-13)
-
-
 def test_asym_convergence_csv(capsys):
     rc, out, _ = run_cli(capsys, "asym", "--convergence", "30")
     assert rc == 0
@@ -286,36 +243,6 @@ def test_asym_convergence_csv(capsys):
     assert lines[0] == "n,exact,asymptotic,rel_error"
     assert len(lines) == 31
     assert lines[6].startswith("6,18,")
-
-
-def test_probe_json_schema(capsys):
-    rc, out, _ = run_cli(capsys, "probe", "-m", "2", "-N", "14")
-    assert rc == 0
-    data = json.loads(out)
-    assert data["m"] == 2 and data["n_max"] == 14
-    assert data["terms"][:4] == ["1", "2", "5", "8"]
-    assert data["fitted"]["order"] == 5
-    assert data["fitted"]["coefficients"] == [3, -3, 2, -2, 1]
-    assert data["method"] == "fitted-root"
-    assert data["alpha_estimate"] == pytest.approx(1.4655712318767682, abs=1e-9)
-
-
-@pytest.mark.parametrize("m, n_max, expected", [
-    (1, 10,
-     '{"m": 1, "n_max": 10, "terms": ["1", "2", "2", "2", "2", "2", "2", "2", "2", "2"], '
-     '"fitted": {"order": 1, "coefficients": [1], "valid_from": 3}, '
-     '"alpha_estimate": 1.0, "method": "fitted-root"}\n'),
-    (2, 14,
-     '{"m": 2, "n_max": 14, "terms": ["1", "2", "5", "8", "12", "18", "26", "37", "53", '
-     '"76", "109", "157", "227", "329"], '
-     '"fitted": {"order": 5, "coefficients": [3, -3, 2, -2, 1], "valid_from": 7}, '
-     '"alpha_estimate": 1.4655712318767682, "method": "fitted-root"}\n'),
-])
-def test_probe_fitted_output_is_pinned(capsys, m, n_max, expected):
-    """The fitted block, valid_from included, byte for byte."""
-    rc, out, err = run_cli(capsys, "probe", "-m", str(m), "-N", str(n_max))
-    assert rc == 0 and err == ""
-    assert out == expected
 
 
 def test_probe_ratio_fallback(capsys):
@@ -421,102 +348,43 @@ print(*sorted(set(sys.modules) - before), file=sys.stderr)
 raise SystemExit(code)
 """
 
-# Modules that only the gf routes, asym, probe and the gf/asymptotics suites need.
-HEAVY = {"permlip.genfunc", "permlip.asymptotics", "permlip.probe",
-         "dataclasses", "fractions", "json"}
+# What each command loads, exactly: its argv (none for a bare import), its
+# exit code and the package modules it loads besides permlip, cli,
+# bruteforce and core.  A module-level import of code that a command does
+# not run shows up here.
+LOADS = [
+    ("", 0, ""),
+    ("count -n 6 -m 2", 0, "split"),
+    ("count -n 1000 -m 2 --engine closed", 0, "m2"),
+    ("seq -m 3 -N 11", 0, "split"),
+    ("verify --suite max-position -N 9", 0, "checks"),
+    ("verify --suite max-first -N 9", 0, "checks m2"),
+    ("count -n 10 -m 3 --engine gf", 2, ""),
+    ("asym", 0, "asymptotics genfunc"),
+    ("asym --convergence 200", 0, "asymptotics genfunc"),
+    ("probe -m 3 -N 11", 0, "genfunc probe split"),
+    ("probe -m 2 -N 14", 0, "genfunc probe split"),
+    ("probe -m 1 2 -N 14", 0, "genfunc probe split"),
+    ("count -n 1000 -m 2 --engine gf", 0, "genfunc m2"),
+    ("seq -m 2 -N 20", 0, "genfunc"),
+    ("verify --suite gf -N 9", 0, "checks genfunc m2"),
+    ("verify --suite asymptotics -N 9", 0, "asymptotics checks genfunc"),
+]
+
+# dataclasses pulls in inspect, ast, dis and tokenize; fractions pulls in
+# decimal; numpy is no dependency.
+NEVER = {"dataclasses", "fractions", "numpy"}
 
 
-def loaded_modules(*argv):
-    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True,
+@pytest.mark.parametrize("argv, code, modules", LOADS,
+                         ids=[argv or "import permlip" for argv, _, _ in LOADS])
+def test_command_loads_exactly_its_modules(argv, code, modules):
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv.split()], capture_output=True,
                           text=True, env=child_env(), timeout=300)
-    return proc.returncode, set(proc.stderr.splitlines()[-1].split())
-
-
-def test_import_loads_no_submodule():
-    rc, loaded = loaded_modules()
-    assert rc == 0
-    assert "permlip" in loaded
-    assert not [name for name in loaded if name.startswith("permlip.")]
-
-
-# The package modules each light command loads, exactly: a module-level
-# import of code that a command does not run shows up here.
-BASE = {"permlip", "permlip.cli", "permlip.bruteforce", "permlip.core"}
-PACKAGE_LOADED = {
-    "count -n 6 -m 2": BASE | {"permlip.split"},
-    "count -n 1000 -m 2 --engine closed": BASE | {"permlip.m2"},
-    "seq -m 3 -N 11": BASE | {"permlip.split"},
-    "verify --suite max-position -N 9": BASE | {"permlip.checks"},
-    "verify --suite max-first -N 9": BASE | {"permlip.checks", "permlip.m2"},
-    "count -n 10 -m 3 --engine gf": BASE,
-}
-
-
-@pytest.mark.parametrize("argv, code", [
-    ("count -n 6 -m 2", 0),
-    ("count -n 1000 -m 2 --engine closed", 0),
-    ("seq -m 3 -N 11", 0),
-    ("verify --suite max-position -N 9", 0),
-    ("verify --suite max-first -N 9", 0),
-    ("count -n 10 -m 3 --engine gf", 2),
-])
-def test_light_commands_load_no_heavy_module(argv, code):
-    rc, loaded = loaded_modules(*argv.split())
-    assert rc == code
+    assert proc.returncode == code, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    base = "cli bruteforce core " if argv else ""
     assert {name for name in loaded if name.partition(".")[0] == "permlip"} == (
-        PACKAGE_LOADED[argv])
-    assert not loaded & HEAVY, sorted(loaded & HEAVY)
-
-
-def test_probe_loads_genfunc():
-    rc, loaded = loaded_modules("probe", "-m", "3", "-N", "11")
-    assert rc == 0
-    assert {"permlip.genfunc", "permlip.probe", "json"} <= loaded
-
-
-def test_asym_loads_no_m2():
-    for argv in (["asym"], ["asym", "--convergence", "200"]):
-        rc, loaded = loaded_modules(*argv)
-        assert rc == 0
-        assert {name for name in loaded if name.partition(".")[0] == "permlip"} == (
-            BASE | {"permlip.asymptotics", "permlip.genfunc"}), argv
-
-
-# dataclasses pulls in inspect, ast, dis and tokenize; fractions pulls in decimal.
-SLOW_STDLIB = {"dataclasses", "fractions"}
-
-
-@pytest.mark.parametrize("argv", [
-    "asym",
-    "asym --convergence 200",
-    "probe -m 3 -N 11",
-    "probe -m 2 -N 14",
-    "probe -m 1 2 -N 14",
-    "count -n 1000 -m 2 --engine gf",
-    "seq -m 2 -N 20",
-    "verify --suite gf -N 9",
-    "verify --suite asymptotics -N 9",
-])
-def test_exact_commands_load_no_dataclasses_or_fractions(argv):
-    rc, loaded = loaded_modules(*argv.split())
-    assert rc == 0
-    assert not loaded & SLOW_STDLIB, sorted(loaded & SLOW_STDLIB)
-
-
-# A None entry in sys.modules makes every import of numpy raise ImportError.
-NO_NUMPY = """
-import sys
-sys.modules["numpy"] = None
-from permlip.cli import main
-raise SystemExit(main(sys.argv[1:]))
-"""
-
-
-@pytest.mark.parametrize("argv", [
-    "verify --suite asymptotics -N 10",
-    "probe -m 1 2 -N 14",
-])
-def test_runs_without_numpy(argv):
-    proc = subprocess.run([sys.executable, "-c", NO_NUMPY, *argv.split()],
-                          capture_output=True, text=True, env=child_env(), timeout=300)
-    assert proc.returncode == 0, proc.stderr
+        {"permlip"} | {f"permlip.{name}" for name in (base + modules).split()})
+    assert not loaded & NEVER, sorted(loaded & NEVER)
+    assert ("json" in loaded) == argv.startswith(("probe", "asym"))

@@ -8,7 +8,7 @@ from permlip import bruteforce
 from permlip.core import in_class
 from permlip.genfunc import gf_m2, gf_max_first, nth_coeff, series_coeffs, series_stream
 from permlip.m2 import (
-    _x_pow_mod,
+    _recurrence_term,
     class_count,
     class_count_by_recurrence,
     max_first_count,
@@ -175,15 +175,15 @@ def test_family_sizes_assemble_total():
 @example((-3,), 300)
 @example((1, 0, 0), 7)
 @example((1, -2, 3, 0, 0, 0), 300)
-def test_x_pow_mod_reads_the_recurrence(tail, k):
-    # c[i] is the k-th term of the sequence started from the i-th unit window
-    c, d = _x_pow_mod(k, tail), len(tail)
-    assert len(c) == d
+def test_recurrence_term_reads_the_recurrence(tail, k):
+    # from each unit window, the k-th term of the sequence it starts
+    d = len(tail)
+    assert d or _recurrence_term(k, tail, ()) == 0
     for i in range(d):
         u = [int(j == i) for j in range(d)]
         while len(u) <= k:
             u.append(sum(t * u[-j] for j, t in enumerate(tail, 1)))
-        assert c[i] == u[k]
+        assert _recurrence_term(k, tail, tuple(u[:d])) == u[k]
 
 
 def test_nth_term_routes_equal_one_pass_of_the_series():
