@@ -94,9 +94,11 @@ def convergence_report(n_max: int) -> list[ConvergenceRow]:
     if not 1 <= n_max <= 10**4:
         raise ValueError(f"n_max must lie in 1..10000, got {n_max}")
     est = estimate()
+    # the logs of log_asymptotic_value, taken once: every row is the same float
+    log_c, log_alpha = math.log(est.amplitude), math.log(est.alpha)
     rows = []
     for n, exact in zip(range(1, n_max + 1), islice(series_stream(gf_m2()), 1, None)):
-        asym_log = log_asymptotic_value(n, est)
+        asym_log = log_c + n * log_alpha
         rel = abs(math.expm1(asym_log - math.log(exact)))
         rows.append(ConvergenceRow(n, exact, asym_log, rel))
     return rows

@@ -185,7 +185,12 @@ def suite_asymptotics(n_max: int) -> list[Result]:
     alpha = asymptotics.dominant_root(asymptotics.gf_m2())
     rho = 1.0 / alpha
     out.append(_check("residual", abs(1 - rho - rho**3) < 1e-12, f"rho={rho!r}"))
-    out.append(_check("reciprocal", abs(alpha * rho - 1) < 1e-12, "alpha != 1/rho"))
+    # rho on its own, by bisection of the literal cubic, which falls from 1 to -1 on [0, 1]
+    lo, hi = 0.0, 1.0
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if genfunc.poly_eval((1, -1, 0, -1), mid) > 0 else (lo, mid)
+    out.append(_check("reciprocal", abs(alpha * lo - 1) < 1e-12,
+                      f"alpha * rho = {alpha * lo!r} for the root rho={lo!r} of 1 - x - x^3"))
     out.append(_check("cubic", abs(alpha**3 - alpha**2 - 1) < 1e-10, "alpha cubic fails"))
     root = genfunc.dominant_root(genfunc.gf_max_first())  # a separate derivation
     out.append(_check("char root", abs(root - alpha) < 1e-9,

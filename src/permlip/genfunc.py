@@ -14,17 +14,18 @@ Every GF here has integer coefficients, and a rational power series with
 integer coefficients reduces to P/Q with Q(0) = 1 (Fatou, Acta Math. 1906),
 so ``RationalGF`` refuses any other constant term.  All arithmetic except
 root finding is then exact in Python ints, with no division.  Series
-extraction turns each factor 1 - x of Q into a running sum, skips zero
-taps of the rest and adds or subtracts at unit taps; a single coefficient
-is read off a few of them by the Fiduccia kernel in ``m2``, x^n mod Q
-(reversed).
+extraction turns each factor 1 - x of Q into a running sum, an
+``itertools.accumulate`` pass, skips zero taps of the rest and adds or
+subtracts at unit taps, starting each term from its first -1 tap; a
+single coefficient is read off a few of them by the Fiduccia kernel in
+``m2``, x^n mod Q (reversed).
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
 from collections.abc import Iterator
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from math import cos, gcd, pi, sin
 from operator import index, mul
 
@@ -230,30 +231,40 @@ def series_stream(gf: RationalGF) -> Iterator[int]:
     Q splits as (1 - x)^k R.  The series of P/R comes from a convolution
     over a window of its last deg R coefficients that skips zero taps of R,
     adds or subtracts at taps of -1 or 1 and multiplies only at the others;
-    k running sums turn it into the series of P/Q.  Exact, in ints, with
-    no division: R(0) = Q(0) = 1.
+    each term starts from the window entry at its first -1 tap, so no term
+    past the end of P copies a big int onto p_n = 0.  k nested
+    ``itertools.accumulate`` passes, running sums, turn it into the series
+    of P/Q.  Exact, in ints, with no division: R(0) = Q(0) = 1.
     """
-    p, q = gf.numerator, gf.denominator
-    sums = []
+    q, k = gf.denominator, 0
     while not sum(q):  # Q(1) = 0: a factor 1 - x, one running sum
-        q = _poly_divexact(q, (1, -1))
-        sums.append(0)
-    tail = q[:0:-1]  # r_d .. r_1, aligned with the window
+        q, k = _poly_divexact(q, (1, -1)), k + 1
+    stream = _quotient_stream(gf.numerator, q)
+    for _ in range(k):
+        stream = accumulate(stream)
+    return stream
+
+
+def _quotient_stream(p, r) -> Iterator[int]:
+    """Series b_0, b_1, ... of P/R for R(0) = 1: b_n = p_n - sum_i r_i b_{n-i}."""
+    tail = r[:0:-1]  # r_d .. r_1, aligned with the window
     adds = [i for i, c in enumerate(tail) if c == -1]
     subs = [i for i, c in enumerate(tail) if c == 1]
     dense = [c not in (-1, 0, 1) for c in tail]
     taps = tuple(compress(tail, dense))
-    window = deque([0] * len(tail), maxlen=len(tail))  # b_{n-d} .. b_{n-1} of P/R
-    for acc in chain(p, repeat(0)):
+    window = deque([0] * len(tail), maxlen=len(tail))  # b_{n-d} .. b_{n-1}
+    first = adds.pop(0) if adds else None
+    for pn in chain(p, repeat(0)):
+        acc = 0 if first is None else window[first]
         for i in adds:
             acc += window[i]
         for i in subs:
             acc -= window[i]
         if taps:
             acc -= sum(map(mul, taps, compress(window, dense)))
+        if pn:
+            acc += pn
         window.append(acc)
-        for i, s in enumerate(sums):
-            acc = sums[i] = s + acc
         yield acc
 
 

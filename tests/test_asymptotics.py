@@ -159,6 +159,15 @@ def test_convergence_bounds_checked():
     assert rows[-1].rel_error < 1e-9
 
 
+def test_convergence_rows_equal_the_per_row_logs():
+    """The logs taken once reproduce log_asymptotic_value and the relative
+    error bit for bit at every n."""
+    est = estimate()
+    for row in convergence_report(10**4):
+        assert row.asymptotic_log == log_asymptotic_value(row.n, est)
+        assert row.rel_error == abs(math.expm1(row.asymptotic_log - math.log(row.exact)))
+
+
 def test_convergence_csv_layout():
     text = convergence_csv(5)
     lines = text.splitlines()

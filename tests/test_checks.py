@@ -89,7 +89,8 @@ def test_asymptotics_suite_reports_a_wrong_root(monkeypatch, capsys):
     assert main(["verify", "--suite", "asymptotics", "-N", "10"]) == 1
     out, err = capsys.readouterr()
     assert [line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
-        "FAIL asymptotics: residual", "FAIL asymptotics: cubic", "FAIL asymptotics: char root"]
+        "FAIL asymptotics: residual", "FAIL asymptotics: reciprocal", "FAIL asymptotics: cubic",
+        "FAIL asymptotics: char root"]
     assert err.startswith("first failure: residual: rho=") and "error:" not in err
 
 

@@ -248,6 +248,9 @@ def test_nth_coeff_property(num, q0, den_tail, n):
 @example(1, -1, [2], [1])          # (1 - x)(2x - 1): a sign to move, Q(1) = 0
 @example(2, 1, [-1, 0, -1], [])    # P = 0
 @example(2, 1, [-1, 0, -1], [0, 1, -1, 2, -3, 1, -1])  # gf_m2
+@example(0, 1, [-1, -1], [1, 0, 0, 2])  # p_n = 0 inside P, next to -1 taps
+@example(1, 1, [1, 0, 1], [3])          # only +1 taps: no -1 tap to start a term from
+@example(3, 1, [-1, 2, 0, -3], [1, 1])  # three running sums over a dense R (P keeps all three)
 def test_series_matches_the_full_convolution(k, q0, tail, num):
     """Q = (1 - x)^k R with taps of R that are 0, 1, -1 or larger: the
     stream equals the definition, in ints."""
