@@ -47,7 +47,8 @@ def satisfies_adjacency(word, m: int) -> bool:
 
 
 def in_class(word, m: int) -> bool:
-    """Class membership: word avoids 132 and every jump is at most m."""
+    """Class membership: word avoids 132 and every jump is at most m.
+    Assumes a permutation: a repeated entry such as (1, 1, 1) passes."""
     return satisfies_adjacency(word, m) and avoids_132(word)
 
 

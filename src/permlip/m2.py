@@ -197,7 +197,7 @@ def to_max_first(word) -> tuple[int, ...]:
         raise ValueError(f"need length >= 3, got {n}")
     if word[1] != n:
         raise ValueError(f"maximum must sit at position 2, got word {word!r}")
-    if not in_class(word, 2):
+    if sorted(word) != list(range(1, n + 1)) or not in_class(word, 2):
         raise ValueError(f"not a class member for jump bound 2: {word!r}")
     return tuple(word[2:])
 
@@ -208,4 +208,6 @@ def to_max_second(word, n: int) -> tuple[int, ...]:
         raise ValueError(f"need a word of length n - 2 = {n - 2}, got {len(word)}")
     if word[0] != n - 2:
         raise ValueError(f"first entry must be {n - 2}, got {word[0]}")
+    if sorted(word) != list(range(1, n - 1)) or not in_class(word, 2):
+        raise ValueError(f"not a class member for jump bound 2: {word!r}")
     return (n - 1, n) + tuple(word)

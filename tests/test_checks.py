@@ -1,10 +1,11 @@
-"""The falsification suites themselves: all green at desk scale, and the
-failure channel actually reports when fed a broken claim."""
+"""The falsification suites themselves: green where no acceptance
+criterion runs them, and the failure channel actually reports when fed a
+broken claim."""
 
 import pytest
 
 import permlip.checks as checks
-from permlip import asymptotics, bruteforce, core, genfunc, m2, transfer
+from permlip import asymptotics, bruteforce, core, genfunc, m2, split, transfer
 from permlip.checks import SUITES, run_suite
 from permlip.cli import main
 from permlip.genfunc import RationalGF
@@ -14,7 +15,8 @@ def _failures(results):
     return [r for r in results if not r[1]]
 
 
-@pytest.mark.parametrize("name", sorted(SUITES))
+# the acceptance gate runs the others at N >= 10; transfer sweeps m = 1..4
+@pytest.mark.parametrize("name", ["asymptotics", "transfer"])
 def test_suite_passes(name):
     results = run_suite(name, 10, None)
     assert results, "suite produced no checks"
@@ -72,6 +74,52 @@ def test_failure_detail_is_specific(monkeypatch):
     monkeypatch.setattr(m2, "max_first_count", lambda n: 99)
     bad = _failures(run_suite("max-first", 6))
     assert any("99" in detail for _, _, detail in bad)
+
+
+def _swap_last_two(word):
+    return word[:-2] + word[:-3:-1] if len(word) > 2 else word
+
+
+def _plus_word(head):
+    """An oracle that also lets through the word head(n) + (the rest, descending), n >= 5."""
+    return lambda real: lambda n, m: real(n, m) + [
+        head(n) + tuple(k for k in range(n, 0, -1) if k not in head(n))] * (n >= 5)
+
+
+# (module, attr, sabotage, suite, check): sabotage(real) replaces module.attr,
+# and the suite's check of that name must then report FAIL
+SABOTAGES = [
+    (m2, "max_last_perms", lambda real: lambda n: real(n)[:-1], "max-last", "set equality n=2"),
+    (m2, "max_first_perms", lambda real: lambda n: [w for w in real(n) if w != m2.zigzag(n)] if n > 3
+     else real(n), "max-first", "set equality n=4"),
+    (m2, "zigzag", lambda real: lambda n: _swap_last_two(real(n)), "max-first", "zigzag unique n=5"),
+    # every word onto one family member, so the image is too small
+    (m2, "to_max_first", lambda real: lambda w: m2.max_first_perms(len(w) - 2)[0], "max-second",
+     "image n=5"),
+    (m2, "to_max_second", lambda real: lambda w, n: real(_swap_last_two(w), n), "max-second",
+     "inverse n=5"),
+    (m2, "max_second_count", lambda real: lambda n: real(n) + 1, "split", "closed sizes n=3"),
+    (bruteforce, "members", _plus_word(lambda n: (n, n - 2, n - 3)), "max-first",
+     "blocked signature n=5"),
+    (bruteforce, "members", _plus_word(lambda n: (n - 1, n - 2, n)), "split", "totals n=5"),
+    # the maximum moved from the last position to one past it
+    (bruteforce, "max_position_census",
+     lambda real: lambda n, m: {k + (k == n): v for k, v in real(n, m).items()}, "max-position",
+     "support n=1 m=2"),
+    (bruteforce, "max_position_census", lambda real: lambda n, m: {
+        k: v for k, v in real(n, m).items() if k < n}, "max-position", "realized n=2 m=2"),
+    (split, "head", lambda real: lambda n_max, m: [c + (n == 4) for n, c in
+                                                   enumerate(real(n_max, m), 1)],
+     "transfer", "count n=4 m=3"),
+    (genfunc, "gf_add", lambda real: lambda a, b: a, "gf", "assembly"),
+]
+
+
+@pytest.mark.parametrize("module, attr, sabotage, suite, check", SABOTAGES,
+                         ids=[f"{attr}-{check}" for _, attr, _, _, check in SABOTAGES])
+def test_suites_report_a_broken_claim(monkeypatch, module, attr, sabotage, suite, check):
+    monkeypatch.setattr(module, attr, sabotage(getattr(module, attr)))
+    assert check in [name for name, _, _ in _failures(run_suite(suite, 6))]
 
 
 def test_char_root_check_compares_the_max_first_gf(monkeypatch):

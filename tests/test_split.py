@@ -8,16 +8,17 @@ from itertools import islice
 
 import pytest
 
-from permlip import bruteforce, transfer
+from permlip import transfer
 from permlip.bruteforce import CeilingExceeded, catalan
+from permlip.checks import run_suite
 from permlip.genfunc import dominant_root, fit_recurrence, gf_m2, series_coeffs
 from permlip.split import count, counts, head
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_matches_oracle(m):
-    for n in range(1, 12):
-        assert count(n, m) == bruteforce.count(n, m), f"n={n} m={m}"
+    # `verify --suite transfer`: this engine and the transfer counter, one oracle walk per n
+    assert [r for r in run_suite("transfer", 11, m) if not r[1]] == []
 
 
 @pytest.mark.parametrize("m", range(1, 10))

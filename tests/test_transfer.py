@@ -1,22 +1,16 @@
-"""Transfer-matrix counter against independently derived counts: the
-brute-force oracle, the Catalan numbers, the exact m = 2 theory, and an
-exhaustive filter over all permutations."""
+"""Transfer-matrix counter against the Catalan numbers, the exact m = 2
+theory and an exhaustive filter over all permutations; the brute-force
+oracle holds it in ``test_split.py::test_matches_oracle``."""
 
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permlip import bruteforce, m2
+from permlip import m2
 from permlip.bruteforce import CeilingExceeded, catalan
 from permlip.core import in_class
 from permlip.transfer import count
-
-
-@pytest.mark.parametrize("m", range(1, 7))
-def test_matches_oracle(m):
-    for n in range(1, 12):
-        assert count(n, m) == bruteforce.count(n, m), f"n={n} m={m}"
 
 
 def test_loose_bound_is_catalan():
