@@ -80,11 +80,9 @@ def test_zigzag_words():
         zigzag(3)
 
 
-def test_graft_map_examples():
-    assert to_max_first((2, 3, 1)) == (1,)
-    assert to_max_first((4, 5, 3, 1, 2)) == (3, 1, 2)
-    assert to_max_first((3, 4, 2, 1)) == (2, 1)
-    assert to_max_second((1,), 3) == (2, 3, 1)
+def test_graft_maps_are_inverse_bijections():
+    for word, small in (((2, 3, 1), (1,)), ((4, 5, 3, 1, 2), (3, 1, 2)), ((3, 4, 2, 1), (2, 1))):
+        assert (to_max_first(word), to_max_second(small, len(word))) == (small, word)
 
 
 def test_graft_map_rejects_bad_input():
@@ -110,11 +108,14 @@ def test_graft_map_rejects_bad_input():
 def test_class_count_routes_agree():
     assert [class_count(n) for n in range(1, 7)] == [1, 2, 5, 8, 12, 18]
     assert class_count_by_recurrence(7) == 26
-    for n in range(3, 200):
-        assert class_count(n) == max_first_count(n) + max_first_count(n - 2) + n - 1
     for fn in (class_count, class_count_by_recurrence):
         with pytest.raises(ValueError):
             fn(0)
+
+
+def test_family_sizes_assemble_total():
+    for n in range(3, 200):
+        assert class_count(n) == max_first_count(n) + max_second_count(n) + max_last_count(n)
 
 
 @given(st.lists(st.integers(-3, 3), min_size=0, max_size=6).map(tuple), st.integers(0, 300))
