@@ -24,7 +24,6 @@ __all__ = [
     "convergence_csv",
     "convergence_report",
     "estimate",
-    "log_asymptotic_value",
 ]
 
 CSV_HEADER = "n,exact,asymptotic,rel_error"
@@ -64,13 +63,6 @@ def estimate() -> AsymptoticEstimate:
     return AsymptoticEstimate(rho, alpha, amplitude(rho))
 
 
-def log_asymptotic_value(n: int, est: AsymptoticEstimate) -> float:
-    """Natural log of the leading term amplitude * alpha^n; finite for any n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return math.log(est.amplitude) + n * math.log(est.alpha)
-
-
 class ConvergenceRow(namedtuple("ConvergenceRow", "n exact asymptotic_log rel_error")):
     """One length of the convergence table; a read-only namedtuple, so it is
     equal to its plain tuple."""
@@ -94,7 +86,7 @@ def convergence_report(n_max: int) -> list[ConvergenceRow]:
     if not 1 <= n_max <= 10**4:
         raise ValueError(f"n_max must lie in 1..10000, got {n_max}")
     est = estimate()
-    # the logs of log_asymptotic_value, taken once: every row is the same float
+    # the leading term amplitude * alpha^n as its log, so it stays finite at any n
     log_c, log_alpha = math.log(est.amplitude), math.log(est.alpha)
     rows = []
     for n, exact in zip(range(1, n_max + 1), islice(series_stream(gf_m2()), 1, None)):

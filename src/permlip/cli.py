@@ -163,10 +163,12 @@ def _cmd_probe(args) -> int:
 
 def _positive(kind: str):
     def convert(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{kind} must be a positive integer, got {text}")
-        return value
+        try:
+            if (value := int(text)) >= 1:
+                return value
+        except ValueError:  # not an integer: refused with the same message
+            pass
+        raise argparse.ArgumentTypeError(f"{kind} must be a positive integer, got {text}")
     return convert
 
 

@@ -1,6 +1,5 @@
-"""The falsification suites themselves: green where no acceptance
-criterion runs them, and the failure channel actually reports when fed a
-broken claim."""
+"""The falsification suites themselves: each refuses what it cannot check,
+and the failure channel actually reports when fed a broken claim."""
 
 import pytest
 
@@ -13,14 +12,6 @@ from permlip.genfunc import RationalGF
 
 def _failures(results):
     return [r for r in results if not r[1]]
-
-
-# the acceptance gate runs the others at N >= 10; transfer sweeps m = 1..4
-@pytest.mark.parametrize("name", ["asymptotics", "transfer"])
-def test_suite_passes(name):
-    results = run_suite(name, 10, None)
-    assert results, "suite produced no checks"
-    assert _failures(results) == []
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -98,6 +89,10 @@ SABOTAGES = [
      "image n=5"),
     (m2, "to_max_second", lambda real: lambda w, n: real(_swap_last_two(w), n), "max-second",
      "inverse n=5"),
+    # maps whose output the other map refuses: a failed round trip, not a crash
+    (m2, "to_max_second", lambda real: lambda w, n: (n, n - 1) + tuple(w), "max-second",
+     "inverse n=4"),
+    (m2, "to_max_first", lambda real: lambda w: real(w)[::-1], "max-second", "inverse n=5"),
     (m2, "max_second_count", lambda real: lambda n: real(n) + 1, "split", "closed sizes n=3"),
     (bruteforce, "members", _plus_word(lambda n: (n, n - 2, n - 3)), "max-first",
      "blocked signature n=5"),

@@ -20,7 +20,7 @@ import pytest
 
 from conftest import traced
 from permlip import genfunc, m2
-from permlip.asymptotics import estimate, log_asymptotic_value
+from permlip.asymptotics import estimate
 from permlip.cli import build_parser, main
 
 ALPHA = estimate().alpha
@@ -112,7 +112,8 @@ def test_routes_print_identical_digits(capsys):
         printed[engine] = capsys.readouterr().out
     assert printed["closed"] == printed["recurrence"] == printed["gf"]
     # printed in full: as many digits as the leading term amplitude * alpha^n
-    log10 = log_asymptotic_value(50000, estimate()) / math.log(10)
+    est = estimate()
+    log10 = math.log10(est.amplitude) + 50000 * math.log10(est.alpha)
     assert len(printed["closed"].strip()) == math.floor(log10) + 1 == 8301
 
 
