@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import islice
+from itertools import islice, repeat
+from operator import add, mul, sub
 
 from .genfunc import dominant_root, gf_m2, poly_eval, series_stream
 
@@ -88,12 +89,12 @@ def convergence_report(n_max: int) -> list[ConvergenceRow]:
     est = estimate()
     # the leading term amplitude * alpha^n as its log, so it stays finite at any n
     log_c, log_alpha = math.log(est.amplitude), math.log(est.alpha)
-    rows = []
-    for n, exact in zip(range(1, n_max + 1), islice(series_stream(gf_m2()), 1, None)):
-        asym_log = log_c + n * log_alpha
-        rel = abs(math.expm1(asym_log - math.log(exact)))
-        rows.append(ConvergenceRow(n, exact, asym_log, rel))
-    return rows
+    ns = range(1, n_max + 1)
+    exact = list(islice(series_stream(gf_m2()), 1, n_max + 1))
+    asym = list(map(add, repeat(log_c), map(mul, ns, repeat(log_alpha))))
+    rel = map(abs, map(math.expm1, map(sub, asym, map(math.log, exact))))
+    # tuple.__new__ is what the namedtuple's _make calls: no Python frame per row
+    return list(map(tuple.__new__, repeat(ConvergenceRow), zip(ns, exact, asym, rel)))
 
 
 def convergence_csv(n_max: int) -> str:

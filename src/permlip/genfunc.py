@@ -14,11 +14,12 @@ Every GF here has integer coefficients, and a rational power series with
 integer coefficients reduces to P/Q with Q(0) = 1 (Fatou, Acta Math. 1906),
 so ``RationalGF`` refuses any other constant term.  All arithmetic except
 root finding is then exact in Python ints, with no division.  Series
-extraction turns each factor 1 - x of Q into a running sum, an
-``itertools.accumulate`` pass, skips zero taps of the rest and adds or
-subtracts at unit taps, starting each term from its first -1 tap; a
-single coefficient is read off a few of them by the Fiduccia kernel in
-``m2``, x^n mod Q (reversed).
+extraction turns each factor 1 - x of Q into a running sum of the
+numerator, an ``itertools.accumulate`` pass over small ints, and
+convolves with the rest, skipping zero taps, adding or subtracting at
+unit taps and starting each term from its first -1 tap (2 big-integer
+operations a term at m = 2); a single coefficient is read off a few of
+them by the Fiduccia kernel in ``m2``, x^n mod Q (reversed).
 """
 
 from __future__ import annotations
@@ -228,33 +229,32 @@ def gf_m2() -> RationalGF:
 def series_stream(gf: RationalGF) -> Iterator[int]:
     """Series coefficients a_0, a_1, ... of ``gf`` at x = 0, without end.
 
-    Q splits as (1 - x)^k R.  The series of P/R comes from a convolution
-    over a window of its last deg R coefficients that skips zero taps of R,
-    adds or subtracts at taps of -1 or 1 and multiplies only at the others;
-    each term starts from the window entry at its first -1 tap, so no term
-    past the end of P copies a big int onto p_n = 0.  k nested
-    ``itertools.accumulate`` passes, running sums, turn it into the series
-    of P/Q.  Exact, in ints, with no division: R(0) = Q(0) = 1.
+    Q splits as (1 - x)^k R.  k nested ``itertools.accumulate`` passes,
+    running sums, turn P into the endless series S of P/(1 - x)^k: small
+    ints, a polynomial in n of degree below k past the end of P.  The
+    series of S/R = P/Q comes from a convolution over a window of its last
+    deg R terms that skips zero taps of R, adds or subtracts at taps of -1
+    or 1 and multiplies only at the others; each term starts from the
+    window entry at its first -1 tap, so at m = 2 a term costs 2 big-integer
+    operations.  Exact, in ints, with no division: R(0) = Q(0) = 1.
     """
-    q, k = gf.denominator, 0
-    while not sum(q):  # Q(1) = 0: a factor 1 - x, one running sum
-        q, k = _poly_divexact(q, (1, -1)), k + 1
-    stream = _quotient_stream(gf.numerator, q)
-    for _ in range(k):
-        stream = accumulate(stream)
-    return stream
+    q, s = gf.denominator, chain(gf.numerator, repeat(0))
+    while not sum(q):  # Q(1) = 0: a factor 1 - x, one running sum of the numerator
+        q, s = _poly_divexact(q, (1, -1)), accumulate(s)
+    return _quotient_stream(s, q)
 
 
-def _quotient_stream(p, r) -> Iterator[int]:
-    """Series b_0, b_1, ... of P/R for R(0) = 1: b_n = p_n - sum_i r_i b_{n-i}."""
+def _quotient_stream(s, r) -> Iterator[int]:
+    """Series a_0, a_1, ... of S/R for an endless numerator stream s_0,
+    s_1, ... and R(0) = 1: a_n = s_n - sum_i r_i a_{n-i}."""
     tail = r[:0:-1]  # r_d .. r_1, aligned with the window
     adds = [i for i, c in enumerate(tail) if c == -1]
     subs = [i for i, c in enumerate(tail) if c == 1]
     dense = [c not in (-1, 0, 1) for c in tail]
     taps = tuple(compress(tail, dense))
-    window = deque([0] * len(tail), maxlen=len(tail))  # b_{n-d} .. b_{n-1}
+    window = deque([0] * len(tail), maxlen=len(tail))  # a_{n-d} .. a_{n-1}
     first = adds.pop(0) if adds else None
-    for pn in chain(p, repeat(0)):
+    for sn in s:
         acc = 0 if first is None else window[first]
         for i in adds:
             acc += window[i]
@@ -262,8 +262,8 @@ def _quotient_stream(p, r) -> Iterator[int]:
             acc -= window[i]
         if taps:
             acc -= sum(map(mul, taps, compress(window, dense)))
-        if pn:
-            acc += pn
+        if sn:
+            acc += sn
         window.append(acc)
         yield acc
 

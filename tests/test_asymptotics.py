@@ -5,7 +5,8 @@ import math
 import mpmath as mp
 import pytest
 
-from permlip.asymptotics import AsymptoticEstimate, amplitude, convergence_report, estimate
+from permlip.asymptotics import (AsymptoticEstimate, ConvergenceRow, amplitude, convergence_report,
+                                 estimate)
 from permlip import genfunc
 from permlip.genfunc import dominant_root, gf_m2
 
@@ -67,6 +68,7 @@ def test_estimate_is_a_read_only_triple():
         est.rho = 0.5
     row = convergence_report(3)[-1]
     assert row == (3, 5, row.asymptotic_log, row.rel_error)
+    assert type(row) is ConvergenceRow
     with pytest.raises(AttributeError):
         row.exact = 6
 

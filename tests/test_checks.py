@@ -97,6 +97,8 @@ SABOTAGES = [
     (bruteforce, "members", _plus_word(lambda n: (n, n - 2, n - 3)), "max-first",
      "blocked signature n=5"),
     (bruteforce, "members", _plus_word(lambda n: (n - 1, n - 2, n)), "split", "totals n=5"),
+    # a max-second word with the wrong head, which the real to_max_first refuses
+    (bruteforce, "members", _plus_word(lambda n: (n - 2, n, n - 1)), "max-second", "heads n=5"),
     # the maximum moved from the last position to one past it
     (bruteforce, "max_position_census",
      lambda real: lambda n, m: {k + (k == n): v for k, v in real(n, m).items()}, "max-position",

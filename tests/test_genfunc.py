@@ -237,6 +237,8 @@ def test_nth_coeff_property(num, q0, den_tail, n):
 @example(0, 1, [-1, -1], [1, 0, 0, 2])  # p_n = 0 inside P, next to -1 taps
 @example(1, 1, [1, 0, 1], [3])          # only +1 taps: no -1 tap to start a term from
 @example(3, 1, [-1, 2, 0, -3], [1, 1])  # three running sums over a dense R (P keeps all three)
+@example(2, 1, [], [2, -3])             # R = 1, no window: S = 2, 1, 0, -1, ... passes through 0
+@example(2, 1, [-1, 0, -1], [2, -3])    # the same S through gf_m2's R
 def test_series_matches_the_full_convolution(k, q0, tail, num):
     """Q = (1 - x)^k R with taps of R that are 0, 1, -1 or larger: the
     stream equals the definition, in ints."""
