@@ -170,7 +170,7 @@ def suite_gf(n_max: int) -> list[Result]:
         "denominator", A.denominator == (1, -3, 3, -2, 2, -1),
         f"got {A.denominator}"))
     assembled = genfunc.gf_add(
-        genfunc.gf_mul(genfunc.RationalGF((1, 0, 1), (1,)), B),
+        genfunc.RationalGF(genfunc.poly_mul((1, 0, 1), B.numerator), B.denominator),
         genfunc.RationalGF((0, 0, 1), genfunc.poly_mul((1, -1), (1, -1))))
     out.append(_check("assembly", assembled == A, "pieces do not assemble"))
     # the series against both n-th term routes at every n, one term at a time

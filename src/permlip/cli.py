@@ -43,7 +43,10 @@ def _lazy(module: str, name: str):
 _SEARCH = {"split": _lazy("split", "count"), "brute": _lazy("bruteforce", "count"),
            "transfer": _lazy("transfer", "count")}
 
-_M1_HEAD = (1, 2)  # a_1, a_2; the relation a_n = a_(n-1) holds from n = 3
+
+def _m1(n: int) -> int:
+    """The count at bound 1: one permutation of length 1, two of every longer one."""
+    return 1 if n == 1 else 2
 
 
 def _regime(n: int, m: int) -> str | None:
@@ -60,7 +63,7 @@ def _regime(n: int, m: int) -> str | None:
 def _gf_term(n: int, m: int) -> int:
     """The n-th coefficient of the rational GF of bound 1 or 2."""
     from . import genfunc
-    # bound 1: one permutation of length 1, two of every longer length
+    # bound 1: (x + x^2)/(1 - x), derived apart from _m1
     gf = genfunc.RationalGF((0, 1, 1), (1, -1)) if m == 1 else genfunc.gf_m2()
     return genfunc.nth_coeff(gf, n)
 
@@ -74,12 +77,13 @@ def _gf_terms():
 # Every exact route, keyed by (regime, engine).  A route maps n to the count
 # at length n, except "terms", the endless stream of counts for n = 1, 2, ...
 # that seq prints.  The closed, recurrence and gf routes of a regime are
-# derived independently, so each cross-checks the others.
+# derived independently, so each cross-checks the others; at m = 1 the closed
+# and recurrence routes are one closed form, _m1, and the gf literal checks it.
 _ROUTES = {
-    ("m=1", "closed"): lambda n: 1 if n == 1 else 2,
-    ("m=1", "recurrence"): lambda n: _M1_HEAD[min(n, len(_M1_HEAD)) - 1],
+    ("m=1", "closed"): _m1,
+    ("m=1", "recurrence"): _m1,
     ("m=1", "gf"): lambda n: _gf_term(n, 1),
-    ("m=1", "terms"): lambda: itertools.chain([1], itertools.repeat(2)),
+    ("m=1", "terms"): lambda: map(_m1, itertools.count(1)),
     ("m=2", "closed"): _lazy("m2", "class_count"),
     ("m=2", "recurrence"): _lazy("m2", "class_count_by_recurrence"),
     ("m=2", "gf"): lambda n: _gf_term(n, 2),
@@ -245,7 +249,3 @@ def main(argv=None) -> int:
     finally:
         if digit_cap is not None:
             sys.set_int_max_str_digits(digit_cap)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

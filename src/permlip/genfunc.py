@@ -16,10 +16,10 @@ so ``RationalGF`` refuses any other constant term.  All arithmetic except
 root finding is then exact in Python ints, with no division.  Series
 extraction turns each factor 1 - x of Q into a running sum of the
 numerator, an ``itertools.accumulate`` pass over small ints, and
-convolves with the rest, skipping zero taps, adding or subtracting at
-unit taps and starting each term from its first -1 tap (2 big-integer
-operations a term at m = 2); a single coefficient is read off a few of
-them by the Fiduccia kernel in ``m2``, x^n mod Q (reversed).
+convolves with the rest, skipping zero taps, adding at -1 taps and
+starting each term from its first -1 tap (2 big-integer operations a term
+at m = 2); a single coefficient is read off a few of them by the Fiduccia
+kernel in ``m2``, x^n mod Q (reversed).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "gf_add",
     "gf_m2",
     "gf_max_first",
-    "gf_mul",
     "nth_coeff",
     "poly_add",
     "poly_eval",
@@ -203,10 +202,6 @@ def gf_add(a: RationalGF, b: RationalGF) -> RationalGF:
     return RationalGF(num, poly_mul(a.denominator, b.denominator))
 
 
-def gf_mul(a: RationalGF, b: RationalGF) -> RationalGF:
-    return RationalGF(poly_mul(a.numerator, b.numerator), poly_mul(a.denominator, b.denominator))
-
-
 def gf_max_first() -> RationalGF:
     """Generating function of the max-first family sizes for jump bound 2:
     x(1 - x + x^2) / ((1 - x)(1 - x - x^3))."""
@@ -233,10 +228,10 @@ def series_stream(gf: RationalGF) -> Iterator[int]:
     running sums, turn P into the endless series S of P/(1 - x)^k: small
     ints, a polynomial in n of degree below k past the end of P.  The
     series of S/R = P/Q comes from a convolution over a window of its last
-    deg R terms that skips zero taps of R, adds or subtracts at taps of -1
-    or 1 and multiplies only at the others; each term starts from the
-    window entry at its first -1 tap, so at m = 2 a term costs 2 big-integer
-    operations.  Exact, in ints, with no division: R(0) = Q(0) = 1.
+    deg R terms that skips zero taps of R, adds at taps of -1 and
+    multiplies at the others; each term starts from the window entry at
+    its first -1 tap, so at m = 2 a term costs 2 big-integer operations.
+    Exact, in ints, with no division: R(0) = Q(0) = 1.
     """
     q, s = gf.denominator, chain(gf.numerator, repeat(0))
     while not sum(q):  # Q(1) = 0: a factor 1 - x, one running sum of the numerator
@@ -249,8 +244,7 @@ def _quotient_stream(s, r) -> Iterator[int]:
     s_1, ... and R(0) = 1: a_n = s_n - sum_i r_i a_{n-i}."""
     tail = r[:0:-1]  # r_d .. r_1, aligned with the window
     adds = [i for i, c in enumerate(tail) if c == -1]
-    subs = [i for i, c in enumerate(tail) if c == 1]
-    dense = [c not in (-1, 0, 1) for c in tail]
+    dense = [c not in (-1, 0) for c in tail]
     taps = tuple(compress(tail, dense))
     window = deque([0] * len(tail), maxlen=len(tail))  # a_{n-d} .. a_{n-1}
     first = adds.pop(0) if adds else None
@@ -258,8 +252,6 @@ def _quotient_stream(s, r) -> Iterator[int]:
         acc = 0 if first is None else window[first]
         for i in adds:
             acc += window[i]
-        for i in subs:
-            acc -= window[i]
         if taps:
             acc -= sum(map(mul, taps, compress(window, dense)))
         if sn:

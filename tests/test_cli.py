@@ -61,14 +61,6 @@ def test_brute_engine_looks_up_the_walk_at_call_time(capsys, monkeypatch):
     assert calls == [(5, 2)]
 
 
-def test_large_count_is_exact(capsys):
-    for engine in ("closed", "recurrence", "gf"):
-        rc, out, _ = run_cli(capsys, "count", "-n", "100", "-m", "2",
-                             "--engine", engine)
-        assert rc == 0
-        assert out.strip() == "60117578549718044"
-
-
 def test_catalan_routes_without_brute(capsys):
     rc, out, _ = run_cli(capsys, "count", "-n", "30", "-m", "29", "--engine", "closed")
     assert rc == 0 and int(out) == catalan(30)
@@ -94,11 +86,6 @@ def test_bound_1_recurrence_route_does_not_step_through_n(capsys):
     rc, out, _ = run_cli(capsys, "count", "-n", "100000000", "-m", "1", "--engine", "recurrence")
     assert time.perf_counter() - start < 2  # reading n terms off the series took ~50 s
     assert rc == 0 and out == "2\n"
-
-
-def test_transfer_engine_at_the_ceiling(capsys):
-    rc, out, _ = run_cli(capsys, "count", "-n", "14", "-m", "3", "--engine", "transfer")
-    assert rc == 0 and out == "10088\n"
 
 
 def test_no_route_is_usage_error(capsys):

@@ -235,7 +235,7 @@ def test_nth_coeff_property(num, q0, den_tail, n):
 @example(2, 1, [-1, 0, -1], [])    # P = 0
 @example(2, 1, [-1, 0, -1], [0, 1, -1, 2, -3, 1, -1])  # gf_m2
 @example(0, 1, [-1, -1], [1, 0, 0, 2])  # p_n = 0 inside P, next to -1 taps
-@example(1, 1, [1, 0, 1], [3])          # only +1 taps: no -1 tap to start a term from
+@example(1, 1, [1, 0, 1], [3])          # only +1 taps, all dense: no -1 tap to start a term from
 @example(3, 1, [-1, 2, 0, -3], [1, 1])  # three running sums over a dense R (P keeps all three)
 @example(2, 1, [], [2, -3])             # R = 1, no window: S = 2, 1, 0, -1, ... passes through 0
 @example(2, 1, [-1, 0, -1], [2, -3])    # the same S through gf_m2's R
