@@ -1,16 +1,16 @@
 """Brute-force ground truth for the bounded-jump 132-avoiding classes.
 
-The searches :func:`count`, :func:`members` and :func:`max_position_census`
-are driven only by the defining predicates (pattern test plus jump bound),
-with no structural shortcuts and no closed forms, so they stay valid as an
-independent oracle for the constructions and counts implemented elsewhere
-in the package.
+The searches :func:`count`, :func:`members`, :func:`jump_position_census`
+and :func:`max_position_census` are driven only by the defining predicates
+(pattern test plus jump bound), with no structural shortcuts and no closed
+forms, so they stay valid as an independent oracle for the constructions
+and counts implemented elsewhere in the package.
 
 The module also holds the CLI's Catalan routes, used at bounds m >= n - 1
 where every 132-avoider counts: :func:`catalan` (the binomial),
-:func:`catalan_numbers` and :func:`catalan_by_recurrence`.  They live here
-because ``cli`` imports this module up front, so they cost no further
-import; none of the searches uses them.
+:func:`catalan_numbers` and :func:`catalan_by_recurrence`.  The CLI loads
+this module for them on first call, as it does for a search; none of the
+searches uses them.
 
 Work grows exponentially with n, so searches refuse to run above a
 ceiling: default 14, moved only through the environment variable
@@ -24,7 +24,7 @@ import os
 from collections.abc import Iterator
 from itertools import islice
 
-from .core import prefix_extension_ok
+from .core import max_adjacent_jump, prefix_extension_ok
 
 __all__ = [
     "CEILING_ENV_VAR",
@@ -35,6 +35,7 @@ __all__ = [
     "catalan_by_recurrence",
     "catalan_numbers",
     "count",
+    "jump_position_census",
     "max_position_census",
     "members",
 ]
@@ -79,7 +80,7 @@ def count(n: int, m: int, visit=None) -> int:
     defining predicate allows.  This is the oracle's one walk: a given
     ``visit`` is called on each complete member, in lexicographic order,
     as the working prefix list (copy it to keep it); :func:`members` and
-    :func:`max_position_census` are such visitors.
+    :func:`jump_position_census` are such visitors.
     """
     _check_args(n, m)
     used = [False] * (n + 1)
@@ -139,18 +140,34 @@ def catalan_by_recurrence(n: int) -> int:
     return next(islice(catalan_numbers(), n, None))
 
 
-def max_position_census(n: int, m: int) -> dict[int, int]:
-    """Histogram of the 1-based position of the entry n across the class.
+def jump_position_census(n: int, m: int) -> dict[tuple[int, int], int]:
+    """Histogram of (largest jump, 1-based position of the entry n) across
+    the class.
 
-    Only positions that actually occur appear as keys, so the key set is
-    the realized support.  Each member is tallied as the walk of
-    :func:`count` visits it, so memory stays O(n), not the size of the class.
+    A member of the class at bound m lies in the class at a bound k < m iff
+    its largest jump is at most k, so one walk at the loosest bound gives
+    the census at every tighter one.  Only pairs that occur appear as keys.
+    Each member is tallied as the walk of :func:`count` visits it, so memory
+    stays O(n^2), not the size of the class.
     """
-    hist: dict[int, int] = {}
+    hist: dict[tuple[int, int], int] = {}
 
     def tally(prefix: list[int]) -> None:
-        pos = prefix.index(n) + 1
-        hist[pos] = hist.get(pos, 0) + 1
+        key = (max_adjacent_jump(prefix), prefix.index(n) + 1)
+        hist[key] = hist.get(key, 0) + 1
 
     count(n, m, tally)
+    return dict(sorted(hist.items()))
+
+
+def max_position_census(n: int, m: int) -> dict[int, int]:
+    """Histogram of the 1-based position of the entry n across the class,
+    the marginal of :func:`jump_position_census`.
+
+    Only positions that actually occur appear as keys, so the key set is
+    the realized support.
+    """
+    hist: dict[int, int] = {}
+    for (_, pos), members_there in jump_position_census(n, m).items():
+        hist[pos] = hist.get(pos, 0) + members_there
     return dict(sorted(hist.items()))

@@ -3,7 +3,8 @@ re-checked at runtime against the brute-force oracle.
 
 Each suite returns (name, ok, detail) triples; a detail string is only
 filled in on failure.  Suites are keyed by the names the command line
-exposes; each imports only the modules it checks.
+exposes; each imports only the modules it checks.  A suite that walks the
+oracle refuses an N above the search ceiling before its first walk.
 """
 
 from __future__ import annotations
@@ -20,38 +21,43 @@ def _check(name: str, cond: bool, detail: str) -> Result:
     return (name, True, "") if cond else (name, False, detail)
 
 
-def suite_max_position(n_max: int, m: int) -> list[Result]:
+def suite_max_position(n_max: int, bounds: list[int]) -> list[Result]:
     """The maximum sits in the first m positions or last; all realizable
-    positions are realized."""
+    positions are realized.  One walk of the oracle per n, at the loosest
+    bound, gives the census at every bound."""
     from . import bruteforce
+    loosest = max(bounds)
+    bruteforce._check_args(n_max, loosest)
+    censuses = [bruteforce.jump_position_census(n, loosest) for n in range(1, n_max + 1)]
     out = []
-    for n in range(1, n_max + 1):
-        census = bruteforce.max_position_census(n, m)
-        allowed = set(range(1, min(m, n) + 1)) | {n}
-        support = set(census)
-        out.append(_check(
-            f"support n={n} m={m}", support <= allowed,
-            f"positions {sorted(support - allowed)} occur but are forbidden"))
-        if n >= 2:
-            required = set(range(1, min(m, n - 1) + 1)) | {n}
+    for m in bounds:
+        for n, census in enumerate(censuses, start=1):
+            support = {pos for jump, pos in census if jump <= m}
+            allowed = set(range(1, min(m, n) + 1)) | {n}
             out.append(_check(
-                f"realized n={n} m={m}", required <= support,
-                f"positions {sorted(required - support)} never occur"))
+                f"support n={n} m={m}", support <= allowed,
+                f"positions {sorted(support - allowed)} occur but are forbidden"))
+            if n >= 2:
+                required = set(range(1, min(m, n - 1) + 1)) | {n}
+                out.append(_check(
+                    f"realized n={n} m={m}", required <= support,
+                    f"positions {sorted(required - support)} never occur"))
     return out
 
 
-def suite_transfer(n_max: int, m: int) -> list[Result]:
+def suite_transfer(n_max: int, bounds: list[int]) -> list[Result]:
     """The transfer-matrix counter and the decomposition engine each agree
     with the brute-force oracle."""
     from . import bruteforce, split, transfer
     out = []
-    for n, by_split in enumerate(split.head(n_max, m), start=1):
-        oracle = bruteforce.count(n, m)
-        wrong = [f"{name} {value}" for name, value in
-                 (("transfer", transfer.count(n, m)), ("split", by_split))
-                 if value != oracle]
-        out.append(_check(f"count n={n} m={m}", not wrong,
-                          f"{', '.join(wrong)}, oracle {oracle}"))
+    for m in bounds:
+        for n, by_split in enumerate(split.head(n_max, m), start=1):
+            oracle = bruteforce.count(n, m)
+            wrong = [f"{name} {value}" for name, value in
+                     (("transfer", transfer.count(n, m)), ("split", by_split))
+                     if value != oracle]
+            out.append(_check(f"count n={n} m={m}", not wrong,
+                              f"{', '.join(wrong)}, oracle {oracle}"))
     return out
 
 
@@ -59,6 +65,7 @@ def suite_max_last(n_max: int) -> list[Result]:
     """Constructed max-last family matches the oracle and has the stated
     rigid shape."""
     from . import bruteforce, m2
+    bruteforce._check_args(n_max, 2)
     out = []
     for n in range(2, n_max + 1):
         built = m2.max_last_perms(n)
@@ -84,6 +91,7 @@ def suite_max_second(n_max: int) -> list[Result]:
     """Dropping the top two entries bijects max-second members onto the
     max-first family two sizes down."""
     from . import bruteforce, m2
+    bruteforce._check_args(n_max, 2)
     out = []
     for n in range(3, n_max + 1):
         oracle = [w for w in bruteforce.members(n, 2) if w[1] == n]
@@ -112,6 +120,7 @@ def suite_max_first(n_max: int) -> list[Result]:
     excluded second/third-entry pattern never occurs; the zigzag is pinned
     down by its first three entries."""
     from . import bruteforce, m2
+    bruteforce._check_args(n_max, 2)
     out = []
     for n in range(1, n_max + 1):
         built = m2.max_first_perms(n)
@@ -137,6 +146,7 @@ def suite_split(n_max: int) -> list[Result]:
     sizes assemble the total; left block dominates right block.  One walk
     of the oracle per n gives the census, the total and the separation."""
     from . import bruteforce, core, m2
+    bruteforce._check_args(n_max, 2)
     out = []
     for n in range(3, n_max + 1):
         words = bruteforce.members(n, 2)
@@ -236,18 +246,17 @@ SMALLEST_N = {"max-last": 2, "max-second": 3, "split": 3}
 
 
 def run_suite(name: str, n_max: int, m: int | None = None) -> list[Result]:
-    """Run one suite.  ``m`` picks the jump bound of a suite in BOUNDED
-    (None sweeps 1..4); the other suites accept only None or 2.  An
-    ``n_max`` below the suite's SMALLEST_N would check nothing, so it is
-    refused."""
+    """Run one suite.  ``m`` picks the jump bound of a suite in BOUNDED,
+    which is handed its list of bounds (None sweeps 1..4); the other
+    suites accept only None or 2.  An ``n_max`` below the suite's
+    SMALLEST_N would check nothing, so it is refused."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     smallest = SMALLEST_N.get(name, 1)
     if n_max < smallest:
         raise ValueError(f"suite {name!r} checks nothing below N={smallest}, got N={n_max}")
     if name in BOUNDED:
-        return [r for bound in ([m] if m is not None else [1, 2, 3, 4])
-                for r in SUITES[name](n_max, bound)]
+        return SUITES[name](n_max, [m] if m is not None else [1, 2, 3, 4])
     if m not in (None, 2):
         raise ValueError(f"suite {name!r} checks m = 2 only, got m={m}; "
                          f"only {' and '.join(BOUNDED)} take a bound")

@@ -9,10 +9,12 @@ loosened, 2 usage error (including a malformed
 before all output was written (128 + SIGPIPE, what a shell reports for GNU
 ``seq`` in the same pipe).
 
-A command loads only the modules it runs.  Only ``bruteforce`` is imported
-up front, because ``main`` catches its CeilingExceeded; every engine, route
-and suite imports its module on first call, so ``count -n 6 -m 2`` loads
-``split``, ``bruteforce`` and ``core`` and nothing else of the package.
+A command loads only the modules it runs.  No module of the package is
+imported up front: every engine, route and suite imports its module on
+first call, so ``count -n 6 -m 2`` loads ``split``, ``bruteforce`` and
+``core``, and ``count --engine closed`` at m = 2 loads ``m2`` alone.
+``main`` catches ``bruteforce.CeilingExceeded`` only once ``bruteforce`` is
+loaded, since nothing else can raise it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import itertools
 import os
 import sys
 from importlib import import_module
-
-from . import bruteforce
 
 __all__ = ["main"]
 
@@ -88,9 +88,10 @@ _ROUTES = {
     ("m=2", "recurrence"): _lazy("m2", "class_count_by_recurrence"),
     ("m=2", "gf"): lambda n: _gf_term(n, 2),
     ("m=2", "terms"): _gf_terms,
-    ("catalan", "closed"): bruteforce.catalan,
-    ("catalan", "recurrence"): bruteforce.catalan_by_recurrence,
-    ("catalan", "terms"): lambda: itertools.islice(bruteforce.catalan_numbers(), 1, None),
+    ("catalan", "closed"): _lazy("bruteforce", "catalan"),
+    ("catalan", "recurrence"): _lazy("bruteforce", "catalan_by_recurrence"),
+    ("catalan", "terms"): lambda: itertools.islice(_lazy("bruteforce", "catalan_numbers")(),
+                                                   1, None),
 }
 
 
@@ -240,7 +241,9 @@ def main(argv=None) -> int:
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
-    except bruteforce.CeilingExceeded as exc:
+    # looked up as the exception is matched: only a loaded bruteforce can raise
+    # it, and () matches nothing
+    except getattr(sys.modules.get(f"{__package__}.bruteforce"), "CeilingExceeded", ()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -21,14 +21,13 @@ of ``genfunc.gf_m2()``, which shares no code with them.
 
 ``_recurrence_term`` is also the kernel of ``genfunc.nth_coeff``.  It lives
 here because the closed and recurrence routes run it and must not load
-``genfunc``.
+``genfunc``.  For the same reason the graft maps, the only users of
+``core.in_class``, import ``core`` when called.
 """
 
 from __future__ import annotations
 
 from operator import mul
-
-from .core import in_class
 
 __all__ = [
     "class_count",
@@ -197,6 +196,7 @@ def to_max_first(word) -> tuple[int, ...]:
         raise ValueError(f"need length >= 3, got {n}")
     if word[1] != n:
         raise ValueError(f"maximum must sit at position 2, got word {word!r}")
+    from .core import in_class
     if sorted(word) != list(range(1, n + 1)) or not in_class(word, 2):
         raise ValueError(f"not a class member for jump bound 2: {word!r}")
     return tuple(word[2:])
@@ -208,6 +208,7 @@ def to_max_second(word, n: int) -> tuple[int, ...]:
         raise ValueError(f"need a word of length n - 2 = {n - 2}, got {len(word)}")
     if word[0] != n - 2:
         raise ValueError(f"first entry must be {n - 2}, got {word[0]}")
+    from .core import in_class
     if sorted(word) != list(range(1, n - 1)) or not in_class(word, 2):
         raise ValueError(f"not a class member for jump bound 2: {word!r}")
     return (n - 1, n) + tuple(word)

@@ -11,10 +11,11 @@ from permlip.bruteforce import (
     catalan,
     catalan_by_recurrence,
     count,
+    jump_position_census,
     max_position_census,
     members,
 )
-from permlip.core import in_class
+from permlip.core import in_class, max_adjacent_jump
 
 
 def test_members_lex_order_and_content():
@@ -35,6 +36,8 @@ def test_members_equal_filtered_universe():
             assert members(n, m) == expected, (n, m)
             census = Counter(w.index(n) + 1 for w in expected)
             assert max_position_census(n, m) == dict(sorted(census.items())), (n, m)
+            joint = Counter((max_adjacent_jump(w), w.index(n) + 1) for w in expected)
+            assert jump_position_census(n, m) == dict(sorted(joint.items())), (n, m)
 
 
 def test_count_nondecreasing_in_bound():

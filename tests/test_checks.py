@@ -36,6 +36,30 @@ def test_unknown_suite_rejected():
         run_suite("no-such-suite", 8)
 
 
+def test_max_position_sweep_is_the_single_bounds_in_turn():
+    assert run_suite("max-position", 8) == [r for m in (1, 2, 3, 4)
+                                            for r in run_suite("max-position", 8, m)]
+
+
+def test_max_position_sweep_walks_the_oracle_once_per_length(monkeypatch):
+    walked = []
+    real = bruteforce.count
+    monkeypatch.setattr(bruteforce, "count",
+                        lambda n, m, *visit: walked.append((n, m)) or real(n, m, *visit))
+    assert _failures(run_suite("max-position", 9)) == []
+    assert walked == [(n, 4) for n in range(1, 10)]
+
+
+@pytest.mark.parametrize("name, m", [("max-position", None), ("max-position", 4),
+                                     ("max-first", None), ("max-second", None),
+                                     ("max-last", None), ("split", None)])
+def test_oracle_suites_refuse_before_the_first_walk(monkeypatch, name, m):
+    monkeypatch.delenv("PERMLIP_CEILING", raising=False)
+    monkeypatch.setattr(bruteforce, "count", lambda *args: pytest.fail("walked"))
+    with pytest.raises(bruteforce.CeilingExceeded, match="n=15 exceeds brute-force ceiling 14"):
+        run_suite(name, 15, m)
+
+
 def test_max_position_respects_requested_bound():
     only_three = run_suite("max-position", 6, 3)
     assert all("m=3" in name for name, _, _ in only_three)
@@ -100,11 +124,12 @@ SABOTAGES = [
     # a max-second word with the wrong head, which the real to_max_first refuses
     (bruteforce, "members", _plus_word(lambda n: (n - 2, n, n - 1)), "max-second", "heads n=5"),
     # the maximum moved from the last position to one past it
-    (bruteforce, "max_position_census",
-     lambda real: lambda n, m: {k + (k == n): v for k, v in real(n, m).items()}, "max-position",
+    (bruteforce, "jump_position_census", lambda real: lambda n, m: {
+        (j, k + (k == n)): v for (j, k), v in real(n, m).items()}, "max-position",
      "support n=1 m=2"),
-    (bruteforce, "max_position_census", lambda real: lambda n, m: {
-        k: v for k, v in real(n, m).items() if k < n}, "max-position", "realized n=2 m=2"),
+    (bruteforce, "jump_position_census", lambda real: lambda n, m: {
+        (j, k): v for (j, k), v in real(n, m).items() if k < n}, "max-position",
+     "realized n=2 m=2"),
     (split, "head", lambda real: lambda n_max, m: [c + (n == 4) for n, c in
                                                    enumerate(real(n_max, m), 1)],
      "transfer", "count n=4 m=3"),

@@ -304,22 +304,24 @@ raise SystemExit(code)
 """
 
 # What each command loads, exactly: its argv (none for a bare import), its
-# exit code and the package modules it loads besides permlip, cli,
-# bruteforce and core.  A module-level import of code that a command does
-# not run shows up here.
+# exit code and the package modules it loads besides permlip and cli.  A
+# module-level import of code that a command does not run shows up here.
 LOADS = [
     ("", 0, ""),
-    ("count -n 6 -m 2", 0, "split"),
+    ("count -n 6 -m 2", 0, "split bruteforce core"),
+    ("count -n 15 -m 2", 3, "split bruteforce core"),
     ("count -n 1000 -m 2 --engine closed", 0, "m2"),
-    ("seq -m 3 -N 11", 0, "split"),
-    ("verify --suite max-position -N 9", 0, "checks"),
-    ("verify --suite max-first -N 9", 0, "checks m2"),
+    ("count -n 12 -m 11 --engine closed", 0, "bruteforce core"),
+    ("seq -m 3 -N 11", 0, "split bruteforce core"),
+    ("seq -m 9 -N 9", 0, "bruteforce core"),
+    ("verify --suite max-position -N 9", 0, "checks bruteforce core"),
+    ("verify --suite max-first -N 9", 0, "checks m2 bruteforce core"),
     ("count -n 10 -m 3 --engine gf", 2, ""),
     ("asym", 0, "asymptotics genfunc"),
     ("asym --convergence 200", 0, "asymptotics genfunc"),
-    ("probe -m 3 -N 11", 0, "genfunc probe split"),
-    ("probe -m 2 -N 14", 0, "genfunc probe split"),
-    ("probe -m 1 2 -N 14", 0, "genfunc probe split"),
+    ("probe -m 3 -N 11", 0, "genfunc probe split bruteforce core"),
+    ("probe -m 2 -N 14", 0, "genfunc probe split bruteforce core"),
+    ("probe -m 1 2 -N 14", 0, "genfunc probe split bruteforce core"),
     ("count -n 1000 -m 2 --engine gf", 0, "genfunc m2"),
     ("seq -m 2 -N 20", 0, "genfunc"),
     ("verify --suite gf -N 9", 0, "checks genfunc m2"),
@@ -338,7 +340,7 @@ def test_command_loads_exactly_its_modules(argv, code, modules):
                           text=True, env=child_env(), timeout=300)
     assert proc.returncode == code, proc.stderr
     loaded = set(proc.stderr.splitlines()[-1].split())
-    base = "cli bruteforce core " if argv else ""
+    base = "cli " if argv else ""
     assert {name for name in loaded if name.partition(".")[0] == "permlip"} == (
         {"permlip"} | {f"permlip.{name}" for name in (base + modules).split()})
     assert not loaded & NEVER, sorted(loaded & NEVER)
