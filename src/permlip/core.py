@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
+from operator import sub
 
 __all__ = [
     "MaxSplit",
@@ -36,7 +37,7 @@ def avoids_132(word) -> bool:
 
 def max_adjacent_jump(word) -> int:
     """Largest |word_{i+1} - word_i| over consecutive positions; 0 for length 1."""
-    return max((abs(b - a) for a, b in zip(word, word[1:])), default=0)
+    return max(map(abs, map(sub, word[1:], word)), default=0)
 
 
 def satisfies_adjacency(word, m: int) -> bool:

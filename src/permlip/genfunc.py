@@ -19,7 +19,8 @@ numerator, an ``itertools.accumulate`` pass over small ints, and
 convolves with the rest, skipping zero taps, adding at -1 taps and
 starting each term from its first -1 tap (2 big-integer operations a term
 at m = 2); a single coefficient is read off a few of them by the Fiduccia
-kernel in ``m2``, x^n mod Q (reversed).
+kernel in ``m2``, x^(n/2) mod Q (reversed) applied twice to 2 deg Q terms,
+so its last squaring is never formed.
 """
 
 from __future__ import annotations
@@ -273,10 +274,12 @@ def nth_coeff(gf: RationalGF, n: int) -> int:
 
     Q A = P gives sum_i q_i a_{j-i} = 0 for j >= len(P), so from s =
     max(0, len(P) - order) on the terms obey a_j = sum_i c_i a_{j-i} with
-    the ``coefficients`` c_i = -q_i, and a_n is x^(n-s) mod the reversed
-    denominator applied to a_s .. a_{s+order-1} (Fiduccia, by
-    ``m2._recurrence_term``): O(log n) products of polynomials of degree
-    below deg Q.
+    the ``coefficients`` c_i = -q_i, and a_n is read off a_s ..
+    a_{s+order-1} by ``m2._recurrence_term``: x^((n-s) >> 1) mod the
+    reversed denominator by O(log n) squarings of polynomials of degree
+    below deg Q (Fiduccia), applied twice to that window extended to
+    2 order terms, so the last squaring is read off the series, never
+    formed.
     """
     from .m2 import _recurrence_term
     if n < 0:

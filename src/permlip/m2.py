@@ -13,9 +13,12 @@ directly here with no search:
   f(n) + f(n - 2) + (n - 1) one max-first size, f(n + 1) + n - 2.
 
 A single size is a head window of a constant-coefficient recurrence read
-through x^k mod its characteristic polynomial (Fiduccia, SIAM J. Comput.
-1985): O(log n) squarings of a polynomial of degree below 3 or 5, so the
-n-th size costs a few products of O(n)-digit integers.  No cache is kept.
+through x^(k >> 1) mod its characteristic polynomial (Fiduccia, SIAM J.
+Comput. 1985): O(log n) squarings of a polynomial of degree d below 3 or
+5.  The last squaring is read off the sequence instead of formed, by
+applying those coefficients twice to the head window extended to about 2d
+terms, so the n-th size costs d products of the largest ints, not
+d(d + 1)/2 and a reduction.  No cache is kept.
 ``verify --suite gf`` checks both readouts at every n against the series
 of ``genfunc.gf_m2()``, which shares no code with them.
 
@@ -51,25 +54,20 @@ _A_TAIL = (3, -3, 2, -2, 1)  # the class sizes a(n), from n = 7
 _A_HEAD = (1, 2, 5, 8, 12, 18)  # a(1) .. a(6)
 
 
-def _recurrence_term(k: int, tail: tuple[int, ...], head: tuple[int, ...]) -> int:
-    """The term u(s + k) of a sequence with u(j) = tail[0]u(j-1) + ... +
-    tail[d-1]u(j-d) for every j >= s + d, read off its head window
-    u(s), ..., u(s + d - 1): sum(c[i] * u(s + i)) for the coefficients c of
-    x^k mod the monic x^d - tail[0] x^(d-1) - ... - tail[d-1], found by
-    square-and-multiply over the bits of k.  An empty tail gives x^k mod 1
-    = () and the term 0.
-    """
+def _x_power_mod(h: int, tail: tuple[int, ...]) -> list[int]:
+    """The coefficients of x^h mod the monic x^d - tail[0] x^(d-1) - ... -
+    tail[d-1], by square-and-multiply over the bits of h; [] for d = 0."""
     d = len(tail)
 
-    def reduced(p: list[int]) -> tuple[int, ...]:
+    def reduced(p: list[int]) -> list[int]:
         for i in range(len(p) - 1, d - 1, -1):
             if p[i]:
                 for j, t in enumerate(tail, 1):
                     p[i - j] += t * p[i]
-        return tuple(p[:d])
+        return p[:d]
 
-    c = (1,) + (0,) * (d - 1) if d else ()
-    for bit in bin(k)[2:]:
+    c = [1] + [0] * (d - 1) if d else []
+    for bit in bin(h)[2:]:
         sq = [0] * (2 * d - 1)
         for i, ci in enumerate(c):
             if ci:
@@ -79,7 +77,38 @@ def _recurrence_term(k: int, tail: tuple[int, ...], head: tuple[int, ...]) -> in
         c = reduced(sq)
         if bit == "1":
             c = reduced([0, *c])
-    return sum(map(mul, c, head))
+    return c
+
+
+def _recurrence_term(k: int, tail: tuple[int, ...], head: tuple[int, ...]) -> int:
+    """The term u(s + k) of a sequence with u(j) = tail[0]u(j-1) + ... +
+    tail[d-1]u(j-d) for every j >= s + d, read off its head window
+    u(s), ..., u(s + d - 1).
+
+    With c = x^h mod the characteristic polynomial and h = k >> 1, every
+    shift obeys u(j + h) = sum(c[i] * u(j + i)) for j >= s.  Applied
+    twice, u(s + b + 2h) = sum_i c[i] sum_l c[l] u(s + b + i + l) with
+    b = k & 1, over the head window extended to 2d - 1 + b terms by the
+    recurrence.  So the last squaring is read off the sequence and never
+    formed: d products of the largest ints in a running sum instead of
+    d(d + 1)/2 and a reduction.  As in the squaring, a zero c[i] is
+    skipped, which keeps small k (a sparse c) as cheap as before.  The
+    readout has a short frame of its own because tracemalloc finds the
+    line of each allocation by scanning the code from its start: at the
+    end of the squaring loop it ran some 20% slower traced.  An empty
+    tail gives c = [] and the term 0.
+    """
+    d = len(tail)
+    c = _x_power_mod(k >> 1, tail)
+    b = k & 1
+    u = list(head)
+    for _ in range(d - 1 + b):
+        u.append(sum(map(mul, tail, u[:-d - 1:-1])))
+    term = 0
+    for i, ci in enumerate(c, b):
+        if ci:
+            term += ci * sum(map(mul, c, u[i:i + d]))
+    return term
 
 
 def max_last_perms(n: int) -> list[tuple[int, ...]]:

@@ -124,6 +124,10 @@ def test_family_sizes_assemble_total():
 @example((-3,), 300)
 @example((1, 0, 0), 7)
 @example((1, -2, 3, 0, 0, 0), 300)
+@example((1, -2, 3, 0, 0, 0), 299)
+@example((3, -3, 2, -2, 1), 1)  # k >> 1 = 0: the readout runs nearly alone
+@example((3, -3, 2, -2, 1), 2)  # k >> 1 = 1
+@example((2,), 257)
 def test_recurrence_term_reads_the_recurrence(tail, k):
     # from each unit window, the k-th term of the sequence it starts
     d = len(tail)
@@ -142,16 +146,22 @@ def test_nth_term_routes_equal_one_pass_of_the_series():
             assert fn(n) == term, (fn.__name__, n)
 
 
-@pytest.mark.parametrize("n", [10**4, 65537, 100003])
-def test_nth_term_routes_equal_the_series(n):
+@pytest.fixture(scope="module")
+def m2_series():
+    return series_coeffs(gf_m2(), 10**4 + 1)
+
+
+# 8191..8193 give both parities of k and an all-ones or single-bit k >> 1
+@pytest.mark.parametrize("n", [8191, 8192, 8193, 10**4, 65537, 100003])
+def test_nth_term_routes_equal_the_series(n, m2_series):
     assert class_count(n) == class_count_by_recurrence(n) == nth_coeff(gf_m2(), n)
-    if n == 10**4:  # all three share the x^k mod Q kernel; the series shares nothing
-        assert nth_coeff(gf_m2(), n) == series_coeffs(gf_m2(), n + 1)[n]
+    if n <= 10**4:  # all three share the x^k mod Q kernel; the series shares nothing
+        assert class_count(n) == m2_series[n]
 
 
 @pytest.mark.parametrize("fn", [class_count, class_count_by_recurrence])
 def test_nth_term_routes_take_logarithmic_steps(fn):
     start = time.perf_counter()
     fn(200000)
-    # about 0.05 s by doubling; stepping through every term took 1-4 s
+    # about 0.01-0.02 s by doubling; stepping through every term took 1-4 s
     assert time.perf_counter() - start < 0.5
