@@ -15,10 +15,14 @@ directly here with no search:
 A single size is a head window of a constant-coefficient recurrence read
 through x^(k >> 1) mod its characteristic polynomial (Fiduccia, SIAM J.
 Comput. 1985): O(log n) squarings of a polynomial of degree d below 3 or
-5.  The last squaring is read off the sequence instead of formed, by
-applying those coefficients twice to the head window extended to about 2d
-terms, so the n-th size costs d products of the largest ints, not
-d(d + 1)/2 and a reduction.  No cache is kept.
+5.  Once its coefficients pass 4096 bits a squaring builds each cross
+term 2ab as (a + b)^2 - a^2 - b^2, so it takes d(d + 1)/2 squares of
+single ints, which CPython forms about twice as fast as products of two,
+instead of d squares and d(d - 1)/2 products.  The last squaring is read
+off the sequence instead of formed, by applying those coefficients twice
+to the head window extended to about 2d terms, so the n-th size costs d
+products of the largest ints, not d(d + 1)/2 and a reduction.  No cache
+is kept.
 ``verify --suite gf`` checks both readouts at every n against the series
 of ``genfunc.gf_m2()``, which shares no code with them.
 
@@ -53,10 +57,47 @@ _G_START = (2, 2, 3)  # g(1), g(2), g(3)
 _A_TAIL = (3, -3, 2, -2, 1)  # the class sizes a(n), from n = 7
 _A_HEAD = (1, 2, 5, 8, 12, 18)  # a(1) .. a(6)
 
+# Above this many bits a squaring forms each cross term 2ab from squares
+# (see _x_power_mod for the measurements).
+_SQUARES_FROM_BITS = 4096
+
+
+def _square_by_squares(c: list[int]) -> list[int]:
+    """The square of the polynomial c, each cross term 2 c[i] c[j] formed
+    as (c[i] + c[j])^2 - c[i]^2 - c[j]^2: squares of single ints only, and
+    none for a pair with a zero."""
+    d = len(c)
+    sq = [0] * (2 * d - 1)
+    sq[::2] = squares = [ci * ci for ci in c]
+    for i, ci in enumerate(c):
+        if ci:
+            for j in range(i + 1, d):
+                if c[j]:
+                    s = ci + c[j]
+                    sq[i + j] += s * s - squares[i] - squares[j]
+    return sq
+
 
 def _x_power_mod(h: int, tail: tuple[int, ...]) -> list[int]:
     """The coefficients of x^h mod the monic x^d - tail[0] x^(d-1) - ... -
-    tail[d-1], by square-and-multiply over the bits of h; [] for d = 0."""
+    tail[d-1], by square-and-multiply over the bits of h; [] for d = 0.
+
+    While the last coefficient has at most _SQUARES_FROM_BITS bits a
+    squaring takes d squares and d(d - 1)/2 products 2ab.  Above that,
+    _square_by_squares takes d(d + 1)/2 squares and no product of two
+    ints; CPython squares an int about twice as fast as it multiplies two.
+    One such squaring alone, with random signed coefficients, reads 0.95-1.12
+    of the products at 512 bits, 0.80-0.83 at 1 024 and 0.63-0.82 from
+    2 048 up (d = 3, 5, 13), but its extra additions cost whole calls
+    more: against products only, a 2 048-bit cutoff read about +1.7% on a
+    sweep of both m = 2 readouts over n <= 8000 and +0.9% at n = 10^4,
+    4 096 bits +0.7% and +0.4%, and both 0.89-0.90 at n = 6 * 10^4.  The
+    size is tested after each step, and the large case is a call, so that
+    the small loop's lines come first in the code: tracemalloc scans a
+    code object from its start to find each allocation's line, and with
+    the test and the large case ahead of them a traced ``verify --suite
+    gf`` ran about 7% slower.
+    """
     d = len(tail)
 
     def reduced(p: list[int]) -> list[int]:
@@ -67,16 +108,21 @@ def _x_power_mod(h: int, tail: tuple[int, ...]) -> list[int]:
         return p[:d]
 
     c = [1] + [0] * (d - 1) if d else []
+    big = False
     for bit in bin(h)[2:]:
-        sq = [0] * (2 * d - 1)
-        for i, ci in enumerate(c):
-            if ci:
-                sq[2 * i] += ci * ci
-                for j in range(i + 1, d):
-                    sq[i + j] += 2 * ci * c[j]
+        if not big:
+            sq = [0] * (2 * d - 1)
+            for i, ci in enumerate(c):
+                if ci:
+                    sq[2 * i] += ci * ci
+                    for j in range(i + 1, d):
+                        sq[i + j] += 2 * ci * c[j]
+        else:
+            sq = _square_by_squares(c)
         c = reduced(sq)
         if bit == "1":
             c = reduced([0, *c])
+        big = c and c[-1].bit_length() > _SQUARES_FROM_BITS
     return c
 
 

@@ -275,7 +275,7 @@ def test_nth_coeff_takes_logarithmic_steps_at_high_order():
     gf = fitted_gf(8)  # order 93
     start = time.perf_counter()
     value = nth_coeff(gf, 2000)
-    # about 0.013 s by doubling; Bostan-Mori halving took about 5 s
+    # about 0.012 s by doubling; Bostan-Mori halving took about 5 s
     assert time.perf_counter() - start < 0.5
     assert value == series_coeffs(gf, 2001)[2000]
 

@@ -128,6 +128,9 @@ def test_family_sizes_assemble_total():
 @example((3, -3, 2, -2, 1), 1)  # k >> 1 = 0: the readout runs nearly alone
 @example((3, -3, 2, -2, 1), 2)  # k >> 1 = 1
 @example((2,), 257)
+# roots near 3: the squaring of x^3000 (some 4 700 bits) takes squares of sums
+@example((3, 0, -2, 1), 12001)
+@example((-3, 0, 2), 12000)
 def test_recurrence_term_reads_the_recurrence(tail, k):
     # from each unit window, the k-th term of the sequence it starts
     d = len(tail)
@@ -163,5 +166,5 @@ def test_nth_term_routes_equal_the_series(n, m2_series):
 def test_nth_term_routes_take_logarithmic_steps(fn):
     start = time.perf_counter()
     fn(200000)
-    # about 0.01-0.02 s by doubling; stepping through every term took 1-4 s
+    # about 0.004-0.009 s by doubling; stepping through every term took 1-4 s
     assert time.perf_counter() - start < 0.5
