@@ -13,27 +13,32 @@ directly here with no search:
   f(n) + f(n - 2) + (n - 1) one max-first size, f(n + 1) + n - 2.
 
 A single size is a head window of a constant-coefficient recurrence read
-through x^(k >> 1) mod its characteristic polynomial (Fiduccia, SIAM J.
-Comput. 1985): O(log n) squarings of a polynomial of degree d below 3 or
-5.  Once its coefficients pass 4096 bits a squaring builds each cross
-term 2ab as (a + b)^2 - a^2 - b^2, so it takes d(d + 1)/2 squares of
-single ints, which CPython forms about twice as fast as products of two,
-instead of d squares and d(d - 1)/2 products.  The last squaring is read
-off the sequence instead of formed, by applying those coefficients twice
-to the head window extended to about 2d terms, so the n-th size costs d
-products of the largest ints, not d(d + 1)/2 and a reduction.  No cache
-is kept.
+through x^k mod its characteristic polynomial of degree d (Fiduccia, SIAM
+J. Comput. 1985): O(log n) squarings of a polynomial of degree below d,
+and both m = 2 routes square mod the cubic x^3 - x^2 - 1.  Once its
+coefficients pass 4096 bits a squaring builds each cross term 2ab as
+(a + b)^2 - a^2 - b^2, so it takes d(d + 1)/2 squares of single ints,
+which CPython forms about twice as fast as products of two, instead of d
+squares and d(d - 1)/2 products.  The max-first route powers only to
+x^(k >> 1) and reads the last squaring off the sequence instead of
+forming it, by applying those coefficients twice to the head window
+extended to about 2d terms, so the n-th size costs d products of the
+largest ints, not d(d + 1)/2 and a reduction.  The order-5 route powers
+x^k mod the cubic, the factor of its (x - 1)^2 (x^3 - x^2 - 1) that
+carries all the growth, and adds the double root at 1, whose share is
+linear in n, in closed form.  No cache is kept.
 ``verify --suite gf`` checks both readouts at every n against the series
 of ``genfunc.gf_m2()``, which shares no code with them.
 
 ``_recurrence_term`` is also the kernel of ``genfunc.nth_coeff``.  It lives
-here because the closed and recurrence routes run it and must not load
-``genfunc``.  For the same reason the graft maps, the only users of
+here because the closed and recurrence routes run it, or its squaring,
+and must not load ``genfunc``.  For the same reason the graft maps, the only users of
 ``core.in_class``, import ``core`` when called.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import mul
 
 __all__ = [
@@ -56,6 +61,20 @@ _G_TAIL = (1, 0, 1)  # g(k) = f(k) + 1 = g(k-1) + g(k-3), from k = 4
 _G_START = (2, 2, 3)  # g(1), g(2), g(3)
 _A_TAIL = (3, -3, 2, -2, 1)  # the class sizes a(n), from n = 7
 _A_HEAD = (1, 2, 5, 8, 12, 18)  # a(1) .. a(6)
+
+
+def _tail_over_x_minus_1(tail: tuple[int, ...]) -> tuple[int, ...]:
+    """The tail of the characteristic polynomial x^d - tail[0] x^(d-1) - ...
+    - tail[d-1] divided by x - 1, by synthetic division; ValueError if the
+    remainder is not zero."""
+    _, *quotient, remainder = accumulate(tail, initial=-1)
+    if remainder:
+        raise ValueError(f"x - 1 does not divide the polynomial of tail {tail}")
+    return tuple(quotient)
+
+
+# x^3 - x^2 - 1: a's characteristic polynomial is (x - 1)^2 times it
+_A_CUBIC_TAIL = _tail_over_x_minus_1(_tail_over_x_minus_1(_A_TAIL))
 
 # Above this many bits a squaring forms each cross term 2ab from squares
 # (see _x_power_mod for the measurements).
@@ -213,13 +232,28 @@ def class_count_by_recurrence(n: int) -> int:
     x^(n-2) mod x^5 - 3x^4 + 3x^3 - 2x^2 + 2x - 1 applied to a(2..6), the
     relation holding from n = 7; a(1..6) are read from the table.
 
-    Independent of :func:`class_count`; the two must agree everywhere.
+    That polynomial is (x - 1)^2 rho with rho = x^3 - x^2 - 1, so only r =
+    x^k mod rho (k = n - 2) is powered.  The residue mod the double root
+    at 1 is linear in k and closed: c = x^k mod (x - 1)^2 rho is r + rho q
+    with q of degree 1, and c(1) = 1, c'(1) = k with rho(1) = -1, rho'(1) =
+    1 force q = t0 + t1 (x - 1), t0 = r(1) - 1, t1 = t0 - k + r'(1).  The
+    readout is then five products of a large int by a small one.
+
+    It reads only the order-5 recurrence and a(1..6), none of
+    :func:`class_count`'s data; the two share the squaring and must agree
+    everywhere.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n <= len(_A_HEAD):
         return _A_HEAD[n - 1]
-    return _recurrence_term(n - 2, _A_TAIL, _A_HEAD[1:])
+    k = n - 2
+    r0, r1, r2 = _x_power_mod(k, _A_CUBIC_TAIL)
+    t0 = r0 + r1 + r2 - 1
+    t1 = t0 - k + r1 + 2 * r2
+    q0 = t0 - t1  # q = q0 + t1 x; c = r + rho q, low terms first
+    c = (r0 - q0, r1 - t1, r2 - q0, q0 - t1, t1)
+    return sum(map(mul, c, _A_HEAD[1:]))
 
 
 def zigzag(n: int) -> tuple[int, ...]:

@@ -4,10 +4,17 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, strategies as st
 
+from permlip import m2
 from permlip.core import in_class
 from permlip.genfunc import gf_m2, gf_max_first, nth_coeff, series_coeffs, series_stream
 from permlip.m2 import (
+    _A_CUBIC_TAIL,
+    _A_HEAD,
+    _A_TAIL,
+    _G_TAIL,
+    _SQUARES_FROM_BITS,
     _recurrence_term,
+    _tail_over_x_minus_1,
     class_count,
     class_count_by_recurrence,
     max_first_count,
@@ -118,6 +125,11 @@ def test_family_sizes_assemble_total():
         assert class_count(n) == max_first_count(n) + max_second_count(n) + max_last_count(n)
 
 
+# roots near 1000 and -1000, with a zero and a negative tap: the squaring of
+# x^450 (some 4 460 bits) takes squares of sums after a short reference
+BIG_ROOT_EXAMPLES = [((1000, 0, -2, 1), 1801), ((-1000, 0, 2), 1800)]
+
+
 @given(st.lists(st.integers(-3, 3), min_size=0, max_size=6).map(tuple), st.integers(0, 300))
 @example((), 5)
 @example((2,), 0)
@@ -128,9 +140,8 @@ def test_family_sizes_assemble_total():
 @example((3, -3, 2, -2, 1), 1)  # k >> 1 = 0: the readout runs nearly alone
 @example((3, -3, 2, -2, 1), 2)  # k >> 1 = 1
 @example((2,), 257)
-# roots near 3: the squaring of x^3000 (some 4 700 bits) takes squares of sums
-@example((3, 0, -2, 1), 12001)
-@example((-3, 0, 2), 12000)
+@example(*BIG_ROOT_EXAMPLES[0])
+@example(*BIG_ROOT_EXAMPLES[1])
 def test_recurrence_term_reads_the_recurrence(tail, k):
     # from each unit window, the k-th term of the sequence it starts
     d = len(tail)
@@ -140,6 +151,34 @@ def test_recurrence_term_reads_the_recurrence(tail, k):
         while len(u) <= k:
             u.append(sum(t * u[-j] for j, t in enumerate(tail, 1)))
         assert _recurrence_term(k, tail, tuple(u[:d])) == u[k]
+
+
+@pytest.mark.parametrize("tail, k", BIG_ROOT_EXAMPLES)
+def test_big_root_examples_take_squares_of_sums(tail, k, monkeypatch):
+    square_by_squares = m2._square_by_squares
+    bits = []
+
+    def spy(c):
+        bits.append(max(map(int.bit_length, c)))
+        return square_by_squares(c)
+
+    monkeypatch.setattr(m2, "_square_by_squares", spy)
+    _recurrence_term(k, tail, (1,) + (0,) * (len(tail) - 1))
+    assert bits and min(bits) > _SQUARES_FROM_BITS
+
+
+def test_cubic_factor_of_the_order5_recurrence():
+    # the paper's denominator (1 - x)^2 (1 - x - x^3): two exact divisions by
+    # x - 1 leave the max-first recurrence's characteristic polynomial
+    assert _tail_over_x_minus_1(_tail_over_x_minus_1(_A_TAIL)) == _A_CUBIC_TAIL == _G_TAIL
+    with pytest.raises(ValueError):
+        _tail_over_x_minus_1(_A_CUBIC_TAIL)  # x^3 - x^2 - 1 is -1 at 1
+
+
+def test_order5_route_equals_the_order5_kernel():
+    # the cubic power lifted in closed form against x^(n-2) mod the quintic
+    for n in [*range(7, 3001), 65537, 100003, 200000]:
+        assert class_count_by_recurrence(n) == _recurrence_term(n - 2, _A_TAIL, _A_HEAD[1:]), n
 
 
 def test_nth_term_routes_equal_one_pass_of_the_series():
@@ -158,7 +197,7 @@ def m2_series():
 @pytest.mark.parametrize("n", [8191, 8192, 8193, 10**4, 65537, 100003])
 def test_nth_term_routes_equal_the_series(n, m2_series):
     assert class_count(n) == class_count_by_recurrence(n) == nth_coeff(gf_m2(), n)
-    if n <= 10**4:  # all three share the x^k mod Q kernel; the series shares nothing
+    if n <= 10**4:  # all three share _x_power_mod's squaring; the series shares nothing
         assert class_count(n) == m2_series[n]
 
 
@@ -166,5 +205,5 @@ def test_nth_term_routes_equal_the_series(n, m2_series):
 def test_nth_term_routes_take_logarithmic_steps(fn):
     start = time.perf_counter()
     fn(200000)
-    # about 0.004-0.009 s by doubling; stepping through every term took 1-4 s
+    # about 0.005-0.012 s by doubling; stepping through every term took 1-4 s
     assert time.perf_counter() - start < 0.5
