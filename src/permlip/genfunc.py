@@ -20,7 +20,7 @@ convolves with the rest, skipping zero taps, adding at -1 taps and
 starting each term from its first -1 tap (2 big-integer operations a term
 at m = 2); a single coefficient is read off a few of them by the Fiduccia
 kernel in ``m2``, x^(n/2) mod Q (reversed) applied twice to 2 deg Q terms,
-so its last squaring is never formed, and above 4096 bits it squares
+so its last squaring is never formed, and each squaring takes squares of
 single ints only.
 """
 
@@ -280,9 +280,8 @@ def nth_coeff(gf: RationalGF, n: int) -> int:
     reversed denominator by O(log n) squarings of polynomials of degree
     below deg Q (Fiduccia), applied twice to that window extended to
     2 order terms, so the last squaring is read off the series, never
-    formed.  A squaring takes order squares and order(order - 1)/2
-    products of two ints, or, once its coefficients pass 4096 bits,
-    order(order + 1)/2 squares and no products.
+    formed.  A squaring takes order(order + 1)/2 squares of single ints
+    and no product of two.
     """
     from .m2 import _recurrence_term
     if n < 0:

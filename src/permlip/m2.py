@@ -15,8 +15,8 @@ directly here with no search:
 A single size is a head window of a constant-coefficient recurrence read
 through x^k mod its characteristic polynomial of degree d (Fiduccia, SIAM
 J. Comput. 1985): O(log n) squarings of a polynomial of degree below d,
-and both m = 2 routes square mod the cubic x^3 - x^2 - 1.  Once its
-coefficients pass 4096 bits a squaring builds each cross term 2ab as
+and both m = 2 routes square mod the cubic x^3 - x^2 - 1.  At every
+size a squaring builds each cross term 2ab as
 (a + b)^2 - a^2 - b^2, so it takes d(d + 1)/2 squares of single ints,
 which CPython forms about twice as fast as products of two, instead of d
 squares and d(d - 1)/2 products.  The max-first route powers only to
@@ -76,10 +76,6 @@ def _tail_over_x_minus_1(tail: tuple[int, ...]) -> tuple[int, ...]:
 # x^3 - x^2 - 1: a's characteristic polynomial is (x - 1)^2 times it
 _A_CUBIC_TAIL = _tail_over_x_minus_1(_tail_over_x_minus_1(_A_TAIL))
 
-# Above this many bits a squaring forms each cross term 2ab from squares
-# (see _x_power_mod for the measurements).
-_SQUARES_FROM_BITS = 4096
-
 
 def _square_by_squares(c: list[int]) -> list[int]:
     """The square of the polynomial c, each cross term 2 c[i] c[j] formed
@@ -101,21 +97,10 @@ def _x_power_mod(h: int, tail: tuple[int, ...]) -> list[int]:
     """The coefficients of x^h mod the monic x^d - tail[0] x^(d-1) - ... -
     tail[d-1], by square-and-multiply over the bits of h; [] for d = 0.
 
-    While the last coefficient has at most _SQUARES_FROM_BITS bits a
-    squaring takes d squares and d(d - 1)/2 products 2ab.  Above that,
-    _square_by_squares takes d(d + 1)/2 squares and no product of two
-    ints; CPython squares an int about twice as fast as it multiplies two.
-    One such squaring alone, with random signed coefficients, reads 0.95-1.12
-    of the products at 512 bits, 0.80-0.83 at 1 024 and 0.63-0.82 from
-    2 048 up (d = 3, 5, 13), but its extra additions cost whole calls
-    more: against products only, a 2 048-bit cutoff read about +1.7% on a
-    sweep of both m = 2 readouts over n <= 8000 and +0.9% at n = 10^4,
-    4 096 bits +0.7% and +0.4%, and both 0.89-0.90 at n = 6 * 10^4.  The
-    size is tested after each step, and the large case is a call, so that
-    the small loop's lines come first in the code: tracemalloc scans a
-    code object from its start to find each allocation's line, and with
-    the test and the large case ahead of them a traced ``verify --suite
-    gf`` ran about 7% slower.
+    Every squaring, at every size, is _square_by_squares: d(d + 1)/2
+    squares of single ints and no product of two.  Against d squares and
+    d(d - 1)/2 products it costs 1-4 us more on a call at n <= 1000 and
+    saves up to 6% on large ones, so one path serves every size.
     """
     d = len(tail)
 
@@ -127,21 +112,10 @@ def _x_power_mod(h: int, tail: tuple[int, ...]) -> list[int]:
         return p[:d]
 
     c = [1] + [0] * (d - 1) if d else []
-    big = False
     for bit in bin(h)[2:]:
-        if not big:
-            sq = [0] * (2 * d - 1)
-            for i, ci in enumerate(c):
-                if ci:
-                    sq[2 * i] += ci * ci
-                    for j in range(i + 1, d):
-                        sq[i + j] += 2 * ci * c[j]
-        else:
-            sq = _square_by_squares(c)
-        c = reduced(sq)
+        c = reduced(_square_by_squares(c))
         if bit == "1":
             c = reduced([0, *c])
-        big = c and c[-1].bit_length() > _SQUARES_FROM_BITS
     return c
 
 

@@ -4,7 +4,6 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, strategies as st
 
-from permlip import m2
 from permlip.core import in_class
 from permlip.genfunc import gf_m2, gf_max_first, nth_coeff, series_coeffs, series_stream
 from permlip.m2 import (
@@ -12,7 +11,6 @@ from permlip.m2 import (
     _A_HEAD,
     _A_TAIL,
     _G_TAIL,
-    _SQUARES_FROM_BITS,
     _recurrence_term,
     _tail_over_x_minus_1,
     class_count,
@@ -125,8 +123,8 @@ def test_family_sizes_assemble_total():
         assert class_count(n) == max_first_count(n) + max_second_count(n) + max_last_count(n)
 
 
-# roots near 1000 and -1000, with a zero and a negative tap: the squaring of
-# x^450 (some 4 460 bits) takes squares of sums after a short reference
+# roots near 1000 and -1000, with a zero and a negative tap: coefficients of
+# some 4 460 bits, checked against a reference that stays short
 BIG_ROOT_EXAMPLES = [((1000, 0, -2, 1), 1801), ((-1000, 0, 2), 1800)]
 
 
@@ -151,20 +149,6 @@ def test_recurrence_term_reads_the_recurrence(tail, k):
         while len(u) <= k:
             u.append(sum(t * u[-j] for j, t in enumerate(tail, 1)))
         assert _recurrence_term(k, tail, tuple(u[:d])) == u[k]
-
-
-@pytest.mark.parametrize("tail, k", BIG_ROOT_EXAMPLES)
-def test_big_root_examples_take_squares_of_sums(tail, k, monkeypatch):
-    square_by_squares = m2._square_by_squares
-    bits = []
-
-    def spy(c):
-        bits.append(max(map(int.bit_length, c)))
-        return square_by_squares(c)
-
-    monkeypatch.setattr(m2, "_square_by_squares", spy)
-    _recurrence_term(k, tail, (1,) + (0,) * (len(tail) - 1))
-    assert bits and min(bits) > _SQUARES_FROM_BITS
 
 
 def test_cubic_factor_of_the_order5_recurrence():
