@@ -14,26 +14,27 @@ directly here with no search:
 
 A single size is a head window of a constant-coefficient recurrence read
 through x^k mod its characteristic polynomial of degree d (Fiduccia, SIAM
-J. Comput. 1985): O(log n) squarings of a polynomial of degree below d,
-and both m = 2 routes square mod the cubic x^3 - x^2 - 1.  At every
-size a squaring builds each cross term 2ab as
+J. Comput. 1985): O(log n) squarings of a polynomial of degree below d.
+At every size a squaring builds each cross term 2ab as
 (a + b)^2 - a^2 - b^2, so it takes d(d + 1)/2 squares of single ints,
 which CPython forms about twice as fast as products of two, instead of d
-squares and d(d - 1)/2 products.  The max-first route powers only to
-x^(k >> 1) and reads the last squaring off the sequence instead of
-forming it, by applying those coefficients twice to the head window
-extended to about 2d terms, so the n-th size costs d products of the
-largest ints, not d(d + 1)/2 and a reduction.  The order-5 route powers
-x^k mod the cubic, the factor of its (x - 1)^2 (x^3 - x^2 - 1) that
-carries all the growth, and adds the double root at 1, whose share is
-linear in n, in closed form.  No cache is kept.
+squares and d(d - 1)/2 products.  Both m = 2 routes power only to
+c = x^(k >> 1) mod the cubic x^3 - x^2 - 1 and end in three squares: the
+term is the quadratic form c^T H c of a Hankel matrix of the sequence,
+diagonalized once at import, so the last squaring is never formed and the
+n-th size costs d squares of the largest ints and one exact division by a
+small int.  The max-first route reads g = f + 1.  The order-5 route splits
+the class sizes into a part that obeys the cubic, the factor of its
+(x - 1)^2 (x^3 - x^2 - 1) that carries all the growth, and a line from
+the double root at 1.  No cache is kept.
 ``verify --suite gf`` checks both readouts at every n against the series
 of ``genfunc.gf_m2()``, which shares no code with them.
 
-``_recurrence_term`` is also the kernel of ``genfunc.nth_coeff``.  It lives
-here because the closed and recurrence routes run it, or its squaring,
-and must not load ``genfunc``.  For the same reason the graft maps, the only users of
-``core.in_class``, import ``core`` when called.
+``_recurrence_term`` is the kernel of ``genfunc.nth_coeff`` and so of the
+``gf`` route.  It lives here beside ``_x_power_mod``, the squaring that the
+closed and recurrence routes run and that must not load ``genfunc``.  For
+the same reason the graft maps, the only users of ``core.in_class``,
+import ``core`` when called.
 """
 
 from __future__ import annotations
@@ -150,6 +151,68 @@ def _recurrence_term(k: int, tail: tuple[int, ...], head: tuple[int, ...]) -> in
     return term
 
 
+def _diagonalized(h: list[list[int]]) -> tuple:
+    """(delta, e, rows) with delta x^T h x = sum(e[j] (rows[j] . x)^2) for
+    every x, for the symmetric integer matrix h, by fraction-free symmetric
+    elimination: p x^T h x = (h[0] . x)^2 plus the form of p h[i][j] -
+    h[i][0] h[0][j] on the other coordinates, p = h[0][0].  ValueError on a
+    zero pivot."""
+    if not h:
+        return 1, (), ()
+    p, *top = h[0]
+    if not p:
+        raise ValueError(f"zero pivot in {h}")
+    delta, e, rows = _diagonalized(
+        [[p * hij - hi[0] * hj for hij, hj in zip(hi[1:], top)] for hi in h[1:]])
+    return p * delta, (delta, *e), (tuple(h[0]), *((0, *row) for row in rows))
+
+
+def _parity_forms(tail: tuple[int, ...], head: tuple[int, ...]) -> tuple:
+    """For b = 0 and 1, the diagonalized Hankel matrix H_b of u(s + b), ...,
+    u(s + b + 2d - 2), so that u(s + k) = c^T H_b c with c = x^(k >> 1) mod
+    the characteristic polynomial and b = k & 1 (see _recurrence_term)."""
+    d = len(tail)
+    u = list(head)
+    while len(u) < 2 * d:
+        u.append(sum(map(mul, tail, u[:-d - 1:-1])))
+    return tuple(_diagonalized([u[b + i:b + i + d] for i in range(d)]) for b in (0, 1))
+
+
+def _form_term(k: int, tail: tuple[int, ...], forms: tuple) -> int:
+    """u(s + k) read through the form of k's parity: d squares of the
+    largest ints, products by small ints and one exact division.  A frame
+    of its own keeps tracemalloc's line lookup short, as in _recurrence_term."""
+    c = _x_power_mod(k >> 1, tail)
+    delta, weights, rows = forms[k & 1]
+    total = 0
+    for e, row in zip(weights, rows):
+        y = sum(map(mul, row, c))
+        total += e * (y * y)
+    return total // delta
+
+
+def _linear_split(tail: tuple[int, ...], head: tuple[int, ...], s: int) -> tuple:
+    """(alpha, beta, w's head) with u(n) = w(n) + alpha + beta n, where
+    u(s), u(s + 1), ... = head obeys the recurrence of (x - 1)^2 rho and w
+    the one of rho = x^d - tail[0] x^(d-1) - ... .  The residual u(n) -
+    tail[0] u(n-1) - ... - tail[d-1] u(n-d) kills w and leaves rho(1)(alpha
+    + beta n) + (tail[0] + 2 tail[1] + ...) beta; two of them fix beta,
+    then alpha.  The divisions by rho(1) are exact for x^3 - x^2 - 1,
+    where rho(1) = -1."""
+    d = len(tail)
+    r0, r1 = [head[j] - sum(map(mul, tail, head[j - 1::-1])) for j in (d, d + 1)]
+    rho1 = 1 - sum(tail)
+    beta = (r1 - r0) // rho1
+    alpha = (r0 - beta * sum(map(mul, tail, range(1, d + 1)))) // rho1 - beta * (s + d)
+    return alpha, beta, tuple(u - alpha - beta * n for n, u in enumerate(head[:d], s))
+
+
+_G_FORMS = _parity_forms(_G_TAIL, _G_START)
+# a(n) = w(n) + alpha + beta n from n = 2 on, where the order-5 recurrence starts
+_A_ALPHA, _A_BETA, _W_HEAD = _linear_split(_A_CUBIC_TAIL, _A_HEAD[1:], 2)
+_W_FORMS = _parity_forms(_A_CUBIC_TAIL, _W_HEAD)
+
+
 def max_last_perms(n: int) -> list[tuple[int, ...]]:
     """All max-last members of length n: a descending prefix, the rest of
     1..n-1 in increasing order, then n.  The odd prefixes 2p-1, ..., 3, 1
@@ -173,11 +236,11 @@ def max_last_count(n: int) -> int:
 
 def max_first_count(n: int) -> int:
     """Number of max-first members f(n), read off g(n) = f(n) + 1, which
-    obeys g(k) = g(k - 1) + g(k - 3): x^(n-1) mod x^3 - x^2 - 1 applied to
-    g(1..3) = 2, 2, 3."""
+    obeys g(k) = g(k - 1) + g(k - 3) from g(1..3) = 2, 2, 3: c = x^((n-1) >> 1)
+    mod x^3 - x^2 - 1, then three squares of the form built from g(1..6)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _recurrence_term(n - 1, _G_TAIL, _G_START) - 1
+    return _form_term(n - 1, _G_TAIL, _G_FORMS) - 1
 
 
 def max_second_count(n: int) -> int:
@@ -192,7 +255,8 @@ def class_count(n: int) -> int:
 
     The three families give f(n) + f(n - 2) + (n - 1), and the max-first
     recurrence f(n + 1) = f(n) + f(n - 2) + 1 folds the two max-first sizes
-    into one.  The lone member at n = 1 is counted apart.
+    into one, read by :func:`max_first_count` in three squares.  The lone
+    member at n = 1 is counted apart.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -202,32 +266,22 @@ def class_count(n: int) -> int:
 
 
 def class_count_by_recurrence(n: int) -> int:
-    """Total class size via the order-5 constant-coefficient recurrence:
-    x^(n-2) mod x^5 - 3x^4 + 3x^3 - 2x^2 + 2x - 1 applied to a(2..6), the
-    relation holding from n = 7; a(1..6) are read from the table.
+    """Total class size via the order-5 constant-coefficient recurrence
+    a(n) = 3a(n-1) - 3a(n-2) + 2a(n-3) - 2a(n-4) + a(n-5) from n = 7, with
+    a(1..6) read from the table.
 
-    That polynomial is (x - 1)^2 rho with rho = x^3 - x^2 - 1, so only r =
-    x^k mod rho (k = n - 2) is powered.  The residue mod the double root
-    at 1 is linear in k and closed: c = x^k mod (x - 1)^2 rho is r + rho q
-    with q of degree 1, and c(1) = 1, c'(1) = k with rho(1) = -1, rho'(1) =
-    1 force q = t0 + t1 (x - 1), t0 = r(1) - 1, t1 = t0 - k + r'(1).  The
-    readout is then five products of a large int by a small one.
-
-    It reads only the order-5 recurrence and a(1..6), none of
-    :func:`class_count`'s data; the two share the squaring and must agree
-    everywhere.
+    Its polynomial is (x - 1)^2 (x^3 - x^2 - 1), so a(n) = w(n) + alpha +
+    beta n for n >= 2, with w obeying the cubic.  The split is read at import
+    off the recurrence and a(1..6) (alpha = -3, beta = 1), and w(n) off
+    x^((n-2) >> 1) mod the cubic in three squares of a form built from w's
+    head.  It reads none of :func:`class_count`'s data; the two share the
+    squaring and must agree everywhere.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n <= len(_A_HEAD):
         return _A_HEAD[n - 1]
-    k = n - 2
-    r0, r1, r2 = _x_power_mod(k, _A_CUBIC_TAIL)
-    t0 = r0 + r1 + r2 - 1
-    t1 = t0 - k + r1 + 2 * r2
-    q0 = t0 - t1  # q = q0 + t1 x; c = r + rho q, low terms first
-    c = (r0 - q0, r1 - t1, r2 - q0, q0 - t1, t1)
-    return sum(map(mul, c, _A_HEAD[1:]))
+    return _form_term(n - 2, _A_CUBIC_TAIL, _W_FORMS) + _A_ALPHA + _A_BETA * n
 
 
 def zigzag(n: int) -> tuple[int, ...]:
