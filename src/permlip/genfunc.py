@@ -18,10 +18,10 @@ extraction turns each factor 1 - x of Q into a running sum of the
 numerator, an ``itertools.accumulate`` pass over small ints, and
 convolves with the rest, skipping zero taps, adding at -1 taps and
 starting each term from its first -1 tap (2 big-integer operations a term
-at m = 2); a single coefficient is read off a few of them by the Fiduccia
-kernel in ``m2``, x^(n/2) mod Q (reversed) applied twice to 2 deg Q terms,
-so its last squaring is never formed, and each squaring takes squares of
-single ints only.
+at m = 2).  A single coefficient is read off 2 deg Q terms of the series
+through x^(n/2) mod Q (reversed), applied twice, so its last squaring is
+never formed; ``m2._x_power_mod`` forms the others from squares of single
+ints only.
 """
 
 from __future__ import annotations
@@ -275,22 +275,28 @@ def nth_coeff(gf: RationalGF, n: int) -> int:
 
     Q A = P gives sum_i q_i a_{j-i} = 0 for j >= len(P), so from s =
     max(0, len(P) - order) on the terms obey a_j = sum_i c_i a_{j-i} with
-    the ``coefficients`` c_i = -q_i, and a_n is read off a_s ..
-    a_{s+order-1} by ``m2._recurrence_term``: x^((n-s) >> 1) mod the
-    reversed denominator by O(log n) squarings of polynomials of degree
-    below deg Q (Fiduccia), applied twice to that window extended to
-    2 order terms, so the last squaring is read off the series, never
-    formed.  A squaring takes order(order + 1)/2 squares of single ints
-    and no product of two.
+    the ``coefficients`` c_i = -q_i.  Then with c = x^h mod the reversed
+    denominator, h = (n - s) >> 1 and b = (n - s) & 1, every shift obeys
+    a_{j+h} = sum_i c_i a_{j+i} for j >= s, and applied twice a_n = sum_i
+    c_i sum_l c_l a_{s+b+i+l}: c costs O(log n) squarings of polynomials of
+    degree below deg Q (Fiduccia, by ``m2._x_power_mod``), and the last
+    squaring is read off the series head a_0 .. a_{s+2 order-1}, never
+    formed.  A term before a_{s+2 order} is streamed, with no squaring.
     """
-    from .m2 import _recurrence_term
+    from .m2 import _x_power_mod
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    s = max(0, len(gf.numerator) - gf.order)
-    head = series_coeffs(gf, s + gf.order)
-    if n < len(head):
-        return head[n]
-    return _recurrence_term(n - s, gf.coefficients, head[s:])
+    d = gf.order
+    s = max(0, len(gf.numerator) - d)
+    u = series_coeffs(gf, min(n + 1, s + 2 * d))
+    if n < len(u):
+        return u[n]
+    c = _x_power_mod((n - s) >> 1, gf.coefficients)
+    term = 0
+    for i, ci in enumerate(c, s + ((n - s) & 1)):
+        if ci:
+            term += ci * sum(map(mul, c, u[i:i + d]))
+    return term
 
 
 # ---------------------------------------------------------------------------

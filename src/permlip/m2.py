@@ -30,11 +30,10 @@ the double root at 1.  No cache is kept.
 ``verify --suite gf`` checks both readouts at every n against the series
 of ``genfunc.gf_m2()``, which shares no code with them.
 
-``_recurrence_term`` is the kernel of ``genfunc.nth_coeff`` and so of the
-``gf`` route.  It lives here beside ``_x_power_mod``, the squaring that the
-closed and recurrence routes run and that must not load ``genfunc``.  For
-the same reason the graft maps, the only users of ``core.in_class``,
-import ``core`` when called.
+``_x_power_mod`` is also the squaring of ``genfunc.nth_coeff``; it lives
+here because the closed and recurrence routes must not load ``genfunc``,
+and for the same reason the graft maps, the only users of
+``core.in_class``, import ``core`` when called.
 """
 
 from __future__ import annotations
@@ -120,37 +119,6 @@ def _x_power_mod(h: int, tail: tuple[int, ...]) -> list[int]:
     return c
 
 
-def _recurrence_term(k: int, tail: tuple[int, ...], head: tuple[int, ...]) -> int:
-    """The term u(s + k) of a sequence with u(j) = tail[0]u(j-1) + ... +
-    tail[d-1]u(j-d) for every j >= s + d, read off its head window
-    u(s), ..., u(s + d - 1).
-
-    With c = x^h mod the characteristic polynomial and h = k >> 1, every
-    shift obeys u(j + h) = sum(c[i] * u(j + i)) for j >= s.  Applied
-    twice, u(s + b + 2h) = sum_i c[i] sum_l c[l] u(s + b + i + l) with
-    b = k & 1, over the head window extended to 2d - 1 + b terms by the
-    recurrence.  So the last squaring is read off the sequence and never
-    formed: d products of the largest ints in a running sum instead of
-    d(d + 1)/2 and a reduction.  As in the squaring, a zero c[i] is
-    skipped, which keeps small k (a sparse c) as cheap as before.  The
-    readout has a short frame of its own because tracemalloc finds the
-    line of each allocation by scanning the code from its start: at the
-    end of the squaring loop it ran some 20% slower traced.  An empty
-    tail gives c = [] and the term 0.
-    """
-    d = len(tail)
-    c = _x_power_mod(k >> 1, tail)
-    b = k & 1
-    u = list(head)
-    for _ in range(d - 1 + b):
-        u.append(sum(map(mul, tail, u[:-d - 1:-1])))
-    term = 0
-    for i, ci in enumerate(c, b):
-        if ci:
-            term += ci * sum(map(mul, c, u[i:i + d]))
-    return term
-
-
 def _diagonalized(h: list[list[int]]) -> tuple:
     """(delta, e, rows) with delta x^T h x = sum(e[j] (rows[j] . x)^2) for
     every x, for the symmetric integer matrix h, by fraction-free symmetric
@@ -169,8 +137,9 @@ def _diagonalized(h: list[list[int]]) -> tuple:
 
 def _parity_forms(tail: tuple[int, ...], head: tuple[int, ...]) -> tuple:
     """For b = 0 and 1, the diagonalized Hankel matrix H_b of u(s + b), ...,
-    u(s + b + 2d - 2), so that u(s + k) = c^T H_b c with c = x^(k >> 1) mod
-    the characteristic polynomial and b = k & 1 (see _recurrence_term)."""
+    u(s + b + 2d - 2), so that u(s + k) = c^T H_b c with c = x^h mod the
+    characteristic polynomial, h = k >> 1 and b = k & 1: u(j + h) =
+    sum(c[i] * u(j + i)) for every j >= s, applied twice."""
     d = len(tail)
     u = list(head)
     while len(u) < 2 * d:
@@ -180,8 +149,7 @@ def _parity_forms(tail: tuple[int, ...], head: tuple[int, ...]) -> tuple:
 
 def _form_term(k: int, tail: tuple[int, ...], forms: tuple) -> int:
     """u(s + k) read through the form of k's parity: d squares of the
-    largest ints, products by small ints and one exact division.  A frame
-    of its own keeps tracemalloc's line lookup short, as in _recurrence_term."""
+    largest ints, products by small ints and one exact division."""
     c = _x_power_mod(k >> 1, tail)
     delta, weights, rows = forms[k & 1]
     total = 0

@@ -216,11 +216,46 @@ def test_nth_coeff_matches_series():
 @example([], 1, [1, -1], 0)
 @example([0, 0], -1, [1], 5)
 @example([1], -1, [1], 0)
+@example([1, -2, 3], 1, [], 3)  # order 0: a polynomial, 0 past its end
+@example([1, -2, 3], -1, [], 80)
+@example([], 1, [], 0)  # the zero GF, 0/1
+@example([], 1, [], 2)
 def test_nth_coeff_property(num, q0, den_tail, n):
     gf = RationalGF(tuple(num), (q0, *den_tail))
     value = nth_coeff(gf, n)
     assert value == reference_series(gf, n + 1)[n]
     assert type(value) is int
+
+
+# roots near 1000 and -1000, with a zero and a negative tap: coefficients of
+# some 4 460 bits, checked against a reference that stays short
+BIG_ROOT_EXAMPLES = [((1000, 0, -2, 1), 1801), ((-1000, 0, 2), 1800)]
+
+
+@given(st.lists(st.integers(-3, 3), min_size=0, max_size=6).map(tuple), st.integers(0, 300))
+@example((), 5)
+@example((2,), 0)
+@example((-3,), 300)
+@example((1, 0, 0), 7)
+@example((1, -2, 3, 0, 0, 0), 300)  # Q of degree 3, P of degree up to 5
+@example((1, -2, 3, 0, 0, 0), 299)
+@example((3, -3, 2, -2, 1), 1)  # inside the series window
+@example((3, -3, 2, -2, 1), 2)
+@example((3, -3, 2, -2, 1), 10)  # the first term past it
+@example((2,), 257)
+@example(*BIG_ROOT_EXAMPLES[0])
+@example(*BIG_ROOT_EXAMPLES[1])
+def test_nth_coeff_reads_the_recurrence(tail, k):
+    # from each unit window, the k-th term of the sequence it starts: its GF
+    # is P/Q with Q = 1 - tail[0] x - ... and P = Q * window, cut below x^d
+    d = len(tail)
+    q = (1, *(-t for t in tail))
+    assert d or nth_coeff(RationalGF((), q), k) == 0
+    for i in range(d):
+        u = [int(j == i) for j in range(d)]
+        while len(u) <= k:
+            u.append(sum(t * u[-j] for j, t in enumerate(tail, 1)))
+        assert nth_coeff(RationalGF(((0,) * i + q)[:d], q), k) == u[k]
 
 
 @settings(max_examples=100)

@@ -17,7 +17,6 @@ from permlip.m2 import (
     _diagonalized,
     _form_term,
     _parity_forms,
-    _recurrence_term,
     _tail_over_x_minus_1,
     class_count,
     class_count_by_recurrence,
@@ -129,34 +128,6 @@ def test_family_sizes_assemble_total():
         assert class_count(n) == max_first_count(n) + max_second_count(n) + max_last_count(n)
 
 
-# roots near 1000 and -1000, with a zero and a negative tap: coefficients of
-# some 4 460 bits, checked against a reference that stays short
-BIG_ROOT_EXAMPLES = [((1000, 0, -2, 1), 1801), ((-1000, 0, 2), 1800)]
-
-
-@given(st.lists(st.integers(-3, 3), min_size=0, max_size=6).map(tuple), st.integers(0, 300))
-@example((), 5)
-@example((2,), 0)
-@example((-3,), 300)
-@example((1, 0, 0), 7)
-@example((1, -2, 3, 0, 0, 0), 300)
-@example((1, -2, 3, 0, 0, 0), 299)
-@example((3, -3, 2, -2, 1), 1)  # k >> 1 = 0: the readout runs nearly alone
-@example((3, -3, 2, -2, 1), 2)  # k >> 1 = 1
-@example((2,), 257)
-@example(*BIG_ROOT_EXAMPLES[0])
-@example(*BIG_ROOT_EXAMPLES[1])
-def test_recurrence_term_reads_the_recurrence(tail, k):
-    # from each unit window, the k-th term of the sequence it starts
-    d = len(tail)
-    assert d or _recurrence_term(k, tail, ()) == 0
-    for i in range(d):
-        u = [int(j == i) for j in range(d)]
-        while len(u) <= k:
-            u.append(sum(t * u[-j] for j, t in enumerate(tail, 1)))
-        assert _recurrence_term(k, tail, tuple(u[:d])) == u[k]
-
-
 def test_cubic_factor_of_the_order5_recurrence():
     # the paper's denominator (1 - x)^2 (1 - x - x^3): two exact divisions by
     # x - 1 leave the max-first recurrence's characteristic polynomial
@@ -225,7 +196,7 @@ def test_parity_forms_read_the_recurrence(tail, window, k):
     u = list(head)
     while len(u) <= k:
         u.append(sum(t * u[-j] for j, t in enumerate(tail, 1)))
-    assert _form_term(k, tail, forms) == u[k] == _recurrence_term(k, tail, head)
+    assert _form_term(k, tail, forms) == u[k]
 
 
 def test_order5_split_is_the_paper_family_sum():
@@ -244,9 +215,10 @@ def test_order5_split_is_the_paper_family_sum():
 
 
 def test_order5_route_equals_the_order5_kernel():
-    # the cubic part read by its form, plus the line, against x^(n-2) mod the quintic
+    # the cubic part read by its form, plus the line, against x^((n-2) >> 1) mod the quintic
+    gf = gf_m2()
     for n in [*range(7, 3001), 65537, 100003, 200000]:
-        assert class_count_by_recurrence(n) == _recurrence_term(n - 2, _A_TAIL, _A_HEAD[1:]), n
+        assert class_count_by_recurrence(n) == nth_coeff(gf, n), n
 
 
 def test_nth_term_routes_equal_one_pass_of_the_series():
