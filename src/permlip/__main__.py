@@ -1,3 +1,4 @@
-from .cli import main
+from .cli import entry
 
-raise SystemExit(main())
+# entry, not main: it spares the process the collections at shutdown
+raise SystemExit(entry())

@@ -15,11 +15,21 @@ first call, so ``count -n 6 -m 2`` loads ``split``, ``bruteforce`` and
 ``core``, and ``count --engine closed`` at m = 2 loads ``m2`` alone.
 ``main`` catches ``bruteforce.CeilingExceeded`` only once ``bruteforce`` is
 loaded, since nothing else can raise it.
+
+``entry`` is the process entry of both launchers, ``python -m permlip`` and
+the ``permlip`` console script.  It runs ``main`` and then calls
+``gc.freeze()``, which moves every object still alive into the permanent
+generation.  The full collections CPython runs at shutdown skip that
+generation; over the some 12 000 objects a call leaves, which the exiting
+process frees anyway, they would cost about 5 ms.  ``main`` itself has no
+such process-level effect, for library and test callers; atexit handlers,
+the final stdout flush and every exit code are as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import os
 import sys
@@ -252,3 +262,11 @@ def main(argv=None) -> int:
     finally:
         if digit_cap is not None:
             sys.set_int_max_str_digits(digit_cap)
+
+
+def entry() -> int:
+    """``main`` on the process's argv, then ``gc.freeze()`` for a cheap exit."""
+    try:
+        return main()
+    finally:
+        gc.freeze()

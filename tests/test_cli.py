@@ -1,7 +1,9 @@
 """Command line behavior: engine agreement, formats, exit codes."""
 
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -285,6 +287,43 @@ def test_closed_pipe_exits_141_without_a_traceback():
         proc.stdout.close()
         assert proc.wait(timeout=120) == 141
         assert proc.stderr.read() == b""
+
+
+# An atexit handler registered before the entry runs reports the freeze count
+# after it returns; under os._exit it would not run at all.
+ENTRY = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("permlip", run_name="__main__")
+"""
+
+
+def test_module_entry_freezes_the_heap_for_exit():
+    proc = subprocess.run([sys.executable, "-c", ENTRY, "count", "-n", "6", "-m", "2"],
+                          capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "18\n", "frozen True\n")
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "count", "-n", "6", "-m", "2") == (0, "18\n", "")
+    assert gc.get_freeze_count() == before
+
+
+def test_module_entry_keeps_argparse_refusal():
+    pin = next(pin for pin in PINS if pin["argv"] == "seq -m 0 -N 3")
+    proc = subprocess.run([sys.executable, "-m", "permlip", *pin["argv"].split()],
+                          capture_output=True, text=True, env=dict(child_env(), COLUMNS="80"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (pin["exit"], pin["stdout"],
+                                                           pin["stderr"])
+
+
+def test_both_launchers_call_one_entry():
+    # a text match: Python 3.10 has no tomllib
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    target = re.search(r'^permlip = "permlip\.cli:(\w+)"$', pyproject, re.M)
+    dunder_main = Path(permlip.__file__).with_name("__main__.py").read_text()
+    assert target and f"raise SystemExit({target[1]}())" in dunder_main
 
 
 # Run the CLI on argv (or, with no argv, just import permlip) and print the
